@@ -78,10 +78,6 @@ type Thread struct {
 	startReal time.Time // when this thread last received the CPU
 	factor    float64   // per-thread CPU charge multiplier (inherited)
 	killed    bool      // set by shutdown before the kill resume
-
-	// prev and next link the scheduler's list of forked, not yet exited
-	// threads, in creation order.
-	prev, next *Thread
 }
 
 // Name returns the thread's diagnostic name.
@@ -138,15 +134,11 @@ type Scheduler struct {
 	live     int // threads not dead (including current)
 	blocked  int
 	sleeping int
-	// first and last bound the list of forked threads that have not
-	// exited, in creation order, for serialized shutdown. A thread
-	// leaves the list when it exits, so the list holds what is parked,
-	// not what ever ran.
-	first, last *Thread
-	main        *Thread
-	unwound     chan struct{}
-	stopped     bool
-	fatal       any // panic value carried from a worker thread to Run
+	threads  []*Thread // every forked thread, for serialized shutdown
+	main     *Thread
+	unwound  chan struct{}
+	stopped  bool
+	fatal    any // panic value carried from a worker thread to Run
 
 	switches   uint64 // context-switch count, for the E-sched experiment
 	forks      uint64
@@ -327,7 +319,7 @@ func (s *Scheduler) ForkPrio(name string, prio int, fn func()) *Thread {
 	s.live++
 	s.forks++
 	s.Charge(s.cfg.ForkCost)
-	s.track(t)
+	s.threads = append(s.threads, t)
 	s.unwinding.Add(1)
 	go s.threadBody(t, fn)
 	s.pushReady(t)
@@ -353,7 +345,6 @@ func (s *Scheduler) threadBody(t *Thread, fn func()) {
 			s.fatal = r
 			t.state = stateDead
 			s.live--
-			s.untrack(t)
 			s.dispatchNextOrFinish(t)
 		}
 	}()
@@ -427,35 +418,7 @@ func (s *Scheduler) exit(t *Thread) {
 	s.syncClock()
 	t.state = stateDead
 	s.live--
-	s.untrack(t)
 	s.dispatchNextOrFinish(t)
-}
-
-// track appends a forked thread to the shutdown list.
-func (s *Scheduler) track(t *Thread) {
-	t.prev = s.last
-	if s.last != nil {
-		s.last.next = t
-	} else {
-		s.first = t
-	}
-	s.last = t
-}
-
-// untrack unlinks an exiting thread, leaving the survivors in creation
-// order.
-func (s *Scheduler) untrack(t *Thread) {
-	if t.prev != nil {
-		t.prev.next = t.next
-	} else {
-		s.first = t.next
-	}
-	if t.next != nil {
-		t.next.prev = t.prev
-	} else {
-		s.last = t.prev
-	}
-	t.prev, t.next = nil, nil
 }
 
 // reschedule hands the CPU from cur (already re-queued, asleep, or
@@ -572,7 +535,10 @@ func (s *Scheduler) ensureRunnable(op string) {
 func (s *Scheduler) shutdown() {
 	s.stopped = true
 	s.current = nil
-	for t := s.first; t != nil; t = t.next {
+	for _, t := range s.threads {
+		if t.state == stateDead {
+			continue
+		}
 		t.killed = true
 		t.resume <- struct{}{}
 		<-s.unwound
