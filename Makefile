@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint foxvet foxvet-json foxvet-baseline statemachine-dot sessiontype-dot copyflow-dot bench chaos audit telemetry fmt
+.PHONY: build test check lint foxvet foxvet-json foxvet-baseline statemachine-dot sessiontype-dot copyflow-dot bench perf chaos audit telemetry fmt
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,16 @@ lint: check
 bench:
 	$(GO) test -bench=. -benchmem
 
+# perf runs the repository's benchmark (bench/, BENCHMARK.json) the short
+# way: every workload for half a second with every metric printed, then
+# the determinism attestation — each workload twice untraced and once
+# behind the tracing shim must agree on every exact value and on the
+# delivery digest. For a comparison against another commit use
+# `go run ./bench -o a.json` on each and `go run ./bench -compare a.json b.json`.
+perf:
+	$(GO) run ./bench -quick
+	$(GO) run ./bench -verify
+
 # chaos runs the deterministic soaks under the race detector: the
 # adversary soak (SYN floods, spoofed RFC 5961 probes, gap bombs, junk
 # against a lossy transfer) and the fault-plane partition soak (scripted
@@ -84,16 +94,17 @@ audit:
 	$(GO) run ./cmd/foxstat -scenario lossy -flight audit-journals -seals
 	$(GO) run ./cmd/foxreplay -verify -workers 4 audit-journals
 
-# telemetry gates the observation plane: the unit and integration tests
-# (histogram goldens, seqlock rings, zero-alloc emit, endpoint smoke),
-# then the bit-identicality check — foxbench -telemetry runs the same
-# transfer unobserved and telemetered and refuses to attest unless the
-# virtual results match exactly, and finally a foxstat scrape proves the
-# /metrics rendering end to end.
+# telemetry gates the observers: the unit and integration tests
+# (histogram goldens, seqlock rings, zero-alloc emit, endpoint smoke, the
+# purity matrix over every sink), then the attestation — foxbench runs
+# the same transfer unobserved, journaled, sealed, telemetered and with
+# everything attached, and attests only if the virtual results match
+# exactly in every arm — and finally a foxstat scrape proves the /metrics
+# rendering end to end.
 telemetry:
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/seqplot/ ./cmd/foxstat/
-	$(GO) test -race -count=1 -run 'TestTelemetry' ./internal/tcp/ ./internal/experiments/
-	$(GO) run ./cmd/foxbench -telemetry -bytes 200000 | tee /dev/stderr | grep -q "identical off/on"
+	$(GO) test -race -count=1 -run 'TestTelemetry|NoAllocs' ./internal/tcp/ ./internal/experiments/
+	$(GO) run ./cmd/foxbench -flight -telemetry -bytes 200000 | tee /dev/stderr | grep -q "identical off/on in every arm"
 	$(GO) run ./cmd/foxstat -scrape metrics.txt
 	grep -q "^fox_action_latency_ns" metrics.txt
 

@@ -5,8 +5,8 @@
 //	foxbench -table 2        Table 2 (execution profile, sender+receiver)
 //	foxbench -gc             the §5 garbage-collection experiment
 //	foxbench -ablate         design-choice ablations (DESIGN.md §5)
-//	foxbench -flight         flight-recorder overhead, off vs on (PR 5)
-//	foxbench -telemetry      telemetry-plane overhead, off vs on (PR 10)
+//	foxbench -flight         observer attestation: unobserved vs journaled vs sealed
+//	foxbench -telemetry      observer attestation: unobserved vs telemetered
 //	foxbench -all            everything
 //
 // Flags -bytes, -window, -scale, -loss, -seed, -rounds adjust the
@@ -17,8 +17,11 @@
 // .fsched file), measuring degradation and recovery instead of the
 // clean-wire numbers.
 //
+// -flight and -telemetry are arms of one attestation (experiments.Attest):
+// given together, the same run also measures every sink attached at once.
+//
 // -json renders the requested tables (1 and/or 2) as a versioned
-// foxbench/v2 document instead of text; -o writes it to a file. The
+// foxbench/v3 document instead of text; -o writes it to a file. The
 // Table 1 JSON runs the structured arm with telemetry attached, so the
 // document carries per-action latency percentiles and the sender's
 // cwnd trace alongside the aggregate figures.
@@ -37,8 +40,8 @@ func main() {
 	table := flag.Int("table", 0, "paper table to regenerate (1 or 2)")
 	gc := flag.Bool("gc", false, "run the garbage-collection experiment")
 	ablate := flag.Bool("ablate", false, "run the design-choice ablations")
-	flightB := flag.Bool("flight", false, "measure flight-recorder overhead on the bulk transfer (off vs on)")
-	telemetryB := flag.Bool("telemetry", false, "measure telemetry-plane overhead on the bulk transfer (off vs on)")
+	flightB := flag.Bool("flight", false, "attest the flight recorder and its sealed variant on the bulk transfer (virtual results identical off/on, wall overhead)")
+	telemetryB := flag.Bool("telemetry", false, "attest the telemetry plane on the bulk transfer (virtual results identical off/on, wall overhead)")
 	sweep := flag.Bool("sweep", false, "sweep TCP window sizes for both implementations")
 	lossSweep := flag.Bool("losssweep", false, "sweep wire loss rates for both implementations")
 	all := flag.Bool("all", false, "run everything")
@@ -76,6 +79,17 @@ func main() {
 		Fault:     *faultFlag,
 	}
 
+	var arms []experiments.Sinks
+	if *flightB || *all {
+		arms = append(arms, experiments.SinkFlight, experiments.SinkSeal)
+	}
+	if *telemetryB || *all {
+		arms = append(arms, experiments.SinkTelemetry)
+	}
+	if len(arms) == 3 {
+		arms = append(arms, experiments.SinkSeal|experiments.SinkTelemetry)
+	}
+
 	if *jsonOut {
 		var reports []experiments.Report
 		if *table == 1 || *all {
@@ -86,12 +100,8 @@ func main() {
 			r, _ := experiments.Table2Report(o)
 			reports = append(reports, r)
 		}
-		if *flightB || *all {
-			r, _ := experiments.FlightReport(o)
-			reports = append(reports, r)
-		}
-		if *telemetryB || *all {
-			r, _ := experiments.TelemetryReport(o)
+		if len(arms) > 0 {
+			r, _ := experiments.AttestReport(o, arms...)
 			reports = append(reports, r)
 		}
 		if len(reports) == 0 {
@@ -127,13 +137,9 @@ func main() {
 		_, text := experiments.Table2(o)
 		fmt.Println(text)
 	}
-	if *flightB || *all {
+	if len(arms) > 0 {
 		ran = true
-		fmt.Println(experiments.FlightOverhead(o).Text)
-	}
-	if *telemetryB || *all {
-		ran = true
-		fmt.Println(experiments.TelemetryOverhead(o).Text)
+		fmt.Println(experiments.Attest(o, arms...).Text)
 	}
 	if *gc || *all {
 		ran = true

@@ -419,12 +419,7 @@ func writeText(out io.Writer, net *foxnet.Network, conns []*foxnet.Conn, substra
 		if n := ring.Len(); n > 0 {
 			fmt.Fprintf(out, "events (%d of %d recorded)\n", n, ring.Total())
 			for _, e := range ring.Events() {
-				conn := e.Conn
-				if conn == "" {
-					conn = "-"
-				}
-				fmt.Fprintf(out, "  %12v %-8s %-24s %s\n",
-					time.Duration(e.At), e.Kind, conn, e.Detail)
+				fmt.Fprintf(out, "  %s\n", e)
 			}
 		}
 		fmt.Fprintln(out)

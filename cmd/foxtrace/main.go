@@ -140,11 +140,7 @@ func main() {
 			ring := h.Stats.Ring()
 			fmt.Printf("# %s events (%d of %d recorded)\n", h.Name, ring.Len(), ring.Total())
 			for _, e := range ring.Events() {
-				conn := e.Conn
-				if conn == "" {
-					conn = "-"
-				}
-				fmt.Printf("  %12v %-8s %-24s %s\n", time.Duration(e.At), e.Kind, conn, e.Detail)
+				fmt.Printf("  %s\n", e)
 			}
 		}
 	}

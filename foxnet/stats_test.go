@@ -80,13 +80,19 @@ func TestMIBCountersLosslessTransfer(t *testing.T) {
 		"tcp.RetransSegs":   0,
 		"tcp.InErrs":        0,
 		"tcp.OutRsts":       0,
-		"ip.InReceives":     3,
-		"ip.InDelivers":     3,
-		"ip.OutRequests":    7,
-		"ip.InHdrErrors":    0,
-		"arp.OutRequests":   1,
-		"arp.InReplies":     1,
-		"arp.Learned":       1,
+		"tcp.OutDataBytes":  3000,
+		"tcp.InDataBytes":   0,
+		"tcp.InNoConns":     0,
+		// The user-timeout abort counter is in the registry, where
+		// foxstat and /metrics can see it.
+		"hard.ProgressTimeouts": 0,
+		"ip.InReceives":         3,
+		"ip.InDelivers":         3,
+		"ip.OutRequests":        7,
+		"ip.InHdrErrors":        0,
+		"arp.OutRequests":       1,
+		"arp.InReplies":         1,
+		"arp.Learned":           1,
 	})
 	expectCounters(t, "host2", b, map[string]float64{
 		"tcp.ActiveOpens":   0,
@@ -97,12 +103,20 @@ func TestMIBCountersLosslessTransfer(t *testing.T) {
 		"tcp.OutSegs":       3,
 		"tcp.RetransSegs":   0,
 		"tcp.InErrs":        0,
+		"tcp.InDataBytes":   3000,
+		"tcp.Accepts":       1,
 		"ip.InReceives":     7,
 		"ip.OutRequests":    3,
 		"arp.InRequests":    1,
 		"arp.OutReplies":    1,
 		"arp.Learned":       1,
 	})
+
+	// tcp.Stats is a view over the same counter set, not a second one.
+	if st := net.Host(0).TCP.Stats(); st.SegsSent != 7 || st.SegsReceived != 3 || st.BytesSent != 3000 ||
+		st.ConnsOpened != 1 || st.FastPathIn != 1 || st.SlowPathIn != 1 {
+		t.Errorf("host1 tcp.Stats view = %+v, disagrees with the MIB", st)
+	}
 
 	// Per-connection stats out of the TCB agree with the MIB totals.
 	cs, ss := client.Stats(), server.Stats()

@@ -1,6 +1,6 @@
-// Package atomiccounter guards the concurrency split PR 1's metrics
-// registry is built on: stats.Counter, stats.Gauge and stats.Histogram
-// are the *atomic* world — they may be read by foxstat snapshots from
+// Package atomiccounter guards the concurrency split the metrics
+// registry is built on: stats.Counter, stats.Gauge and the one histogram
+// type, telemetry.Hist, are the *atomic* world — they may be read by foxstat snapshots from
 // outside the scheduler while a simulation is live — so every touch must
 // go through their methods (Inc, Add, Set, Observe, Load, ...). Reading
 // or writing their internal fields directly, copying one by value, or
@@ -18,18 +18,15 @@ import (
 // Analyzer is the atomiccounter pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomiccounter",
-	Doc:  "stats counter types may only be touched through their atomic methods; no field access, copies, or overwrites",
+	Doc:  "the atomic metric types (stats.Counter, stats.Gauge, telemetry.Hist) may only be touched through their methods; no field access, copies, or overwrites",
 	Run:  run,
 }
 
-// pkgName and counterTypes identify the guarded types: named types with
-// these names declared in a package of this name.
-const pkgName = "stats"
-
-var counterTypes = map[string]bool{
-	"Counter":   true,
-	"Gauge":     true,
-	"Histogram": true,
+// counterTypes identifies the guarded types by package name and type
+// name.
+var counterTypes = map[string]map[string]bool{
+	"stats":     {"Counter": true, "Gauge": true},
+	"telemetry": {"Hist": true},
 }
 
 // counterNamed returns the named counter type of t, or nil. Pointers are
@@ -40,10 +37,15 @@ func counterNamed(t types.Type) *types.Named {
 		return nil
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Name() != pkgName || !counterTypes[obj.Name()] {
+	if obj.Pkg() == nil || !counterTypes[obj.Pkg().Name()][obj.Name()] {
 		return nil
 	}
 	return named
+}
+
+// qualified renders a guarded type as "pkg.Type" for diagnostics.
+func qualified(named *types.Named) string {
+	return named.Obj().Pkg().Name() + "." + named.Obj().Name()
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -98,16 +100,16 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if sel, ok := pass.TypesInfo.Selections[n]; ok && sel.Kind() == types.FieldVal {
 				if recv == nil || recv.Obj() != named.Obj() {
 					pass.Reportf(n.Sel.Pos(),
-						"field %s of stats.%s accessed outside its methods; use the atomic methods instead",
-						n.Sel.Name, named.Obj().Name())
+						"field %s of %s accessed outside its methods; use the atomic methods instead",
+						n.Sel.Name, qualified(named))
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if named := exprCounter(pass, lhs); named != nil {
 					pass.Reportf(lhs.Pos(),
-						"assignment overwrites a stats.%s; counters are never reset or replaced, only moved through their atomic methods",
-						named.Obj().Name())
+						"assignment overwrites a %s; counters are never reset or replaced, only moved through their atomic methods",
+						qualified(named))
 				}
 			}
 			for i, rhs := range n.Rhs {
@@ -124,16 +126,16 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				}
 				if named := exprCounter(pass, rhs); named != nil {
 					pass.Reportf(rhs.Pos(),
-						"stats.%s copied by value, tearing its atomics; take a pointer or use its methods",
-						named.Obj().Name())
+						"%s copied by value, tearing its atomics; take a pointer or use its methods",
+						qualified(named))
 				}
 			}
 		case *ast.CallExpr:
 			for _, arg := range n.Args {
 				if named := exprCounter(pass, arg); named != nil {
 					pass.Reportf(arg.Pos(),
-						"stats.%s passed by value, tearing its atomics; pass a pointer",
-						named.Obj().Name())
+						"%s passed by value, tearing its atomics; pass a pointer",
+						qualified(named))
 				}
 			}
 		}

@@ -8,5 +8,5 @@ import (
 )
 
 func TestAtomicCounter(t *testing.T) {
-	analysistest.Run(t, "testdata", atomiccounter.Analyzer, "stats", "mib")
+	analysistest.Run(t, "testdata", atomiccounter.Analyzer, "stats", "mib", "telemetry")
 }

@@ -3,6 +3,8 @@
 // methods may touch.
 package stats
 
+import "telemetry"
+
 type Counter struct{ v uint64 }
 
 func (c *Counter) Inc() {
@@ -31,19 +33,10 @@ func (g *Gauge) Add(d int64) int64 {
 	return g.v
 }
 
-type Histogram struct {
-	count uint64
-	sum   uint64
-}
-
-func (h *Histogram) Observe(v uint64) {
-	h.count++
-	h.sum += v
-}
-
 // TCPMIB groups counters the way the real registry does.
 type TCPMIB struct {
 	InSegs  Counter
 	OutSegs Counter
 	Estab   Gauge
+	RttUsec telemetry.Hist
 }

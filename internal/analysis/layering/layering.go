@@ -49,7 +49,6 @@ var rank = map[string]int{
 var infrastructure = map[string]bool{
 	"basis":     true,
 	"checksum":  true,
-	"core":      true,
 	"decode":    true,
 	"fault":     true,
 	"flight":    true,

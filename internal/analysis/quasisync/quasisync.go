@@ -13,13 +13,19 @@
 // executor's enqueue/run/perform, which the traversal treats as a
 // boundary and does not look inside.
 //
-// The flight-recorder hooks face the inverse rule: functions declared
-// in record.go journal what crosses the executor's door, so they must
-// observe only — never call the boundary, never enter the synchronous
-// modules. A hook that enqueued would make a recorded run diverge from
-// the same run unrecorded, which is exactly what cmd/foxreplay's
-// replay-and-diff would then catch dynamically; this pass catches it
-// structurally.
+// The observer seam faces the inverse rule: functions declared in
+// observe.go feed the counters, the event ring, the trace, the flight
+// journal and the telemetry plane from what crosses the executor's
+// door, so they must observe only — never call the boundary, never
+// enter the synchronous modules. An observer that enqueued would make an
+// observed run diverge from the same run unobserved, which the purity
+// matrix and cmd/foxreplay's replay-and-diff would then catch
+// dynamically; this pass catches it structurally. The sinks themselves
+// (internal/flight, internal/flight/seal, internal/telemetry,
+// internal/stats, internal/fault) need no rule of their own: the
+// layering pass keeps them from importing internal/tcp at all, so the
+// one file that can reach both them and the executor is the one
+// guarded here.
 //
 // The traversal runs on the module-wide callgraph shared with the
 // statemachine and noblock passes (built once per driver run): direct
@@ -43,7 +49,7 @@ import (
 // Analyzer is the quasisync pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "quasisync",
-	Doc:  "async entry points (timer callbacks, wire delivery) may only enqueue tcp_actions, never call Receive/Send/Resend directly; flight-recorder hooks (record.go) observe only and never enqueue",
+	Doc:  "async entry points (timer callbacks, wire delivery) may only enqueue tcp_actions, never call Receive/Send/Resend directly; the observer seam (observe.go) observes only and never enqueues",
 	Run:  run,
 }
 
@@ -64,43 +70,12 @@ var boundary = map[string]bool{
 	"perform": true,
 }
 
-// observerFiles hold the flight-recorder hooks: functions declared
-// there watch the executor's single door — they journal what crosses it
-// — and so face the inverse constraint. An observer must never drive
-// the machine it is recording: no enqueue/run/perform, and no calls
-// into the protected synchronous modules. A hook that enqueued would
-// make a recorded run diverge from the same run unrecorded.
-var observerFiles = map[string]bool{
-	"record.go": true,
-	// The telemetry hooks are the recorder's sibling at the same door:
-	// they read the TCB and mutate histogram/series/profile atomics, and
-	// the same rule keeps a telemetered run bit-identical to an
-	// unobserved one.
-	"telemetry.go": true,
-}
-
-// observerPackages extend the observer rule from single files to whole
-// packages. The seal layer (internal/flight/seal) sits downstream of
-// the recorder — it batches, hashes, and attests journal bytes — so
-// every function in it is an observer: none may reach the executor's
-// door or the synchronous modules, or sealing a journal could perturb
-// the run being sealed.
-// The fault plane (internal/fault) is an observer for the same reason
-// from the other direction: it perturbs the wire through the segment's
-// sanctioned control API and journals what it did, but must never
-// mutate a TCB except through packets the stack receives normally.
-// The telemetry plane (internal/telemetry) holds the histograms, series
-// rings, and profiler the telemetry.go hooks write into; it is pure
-// data-structure code, and making the whole package an observer proves
-// no helper buried in it can reach back into the machine it measures.
-var observerPackages = map[string]bool{
-	"repro/internal/flight/seal": true,
-	"repro/internal/fault":       true,
-	"repro/internal/telemetry":   true,
-	"flightseal":                 true, // this analyzer's own golden testdata
-	"faultplane":                 true,
-	"telemetry":                  true,
-}
+// observerFile holds the observer seam: functions declared there watch
+// the executor's single door and so face the inverse constraint. An
+// observer must never drive the machine it is observing: no
+// enqueue/run/perform, and no calls into the protected synchronous
+// modules.
+const observerFile = "observe.go"
 
 // allowedPackages exempts packages that attach wire handlers but sit
 // outside the stack's quasi-synchronous discipline. The adversary is a
@@ -163,15 +138,9 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 
-	obsPkg := observerPackages[pass.Pkg.Path()]
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		where := "in an observer package"
-		if !obsPkg {
-			if !observerFiles[base] {
-				continue
-			}
-			where = "declared in " + base
+		if filepath.Base(pass.Fset.Position(f.Pos()).Filename) != observerFile {
+			continue
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -183,24 +152,24 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			if node, ok := g.Funcs[fn]; ok {
-				checkObserver(pass, g, node, where, reported)
+				checkObserver(pass, g, node, reported)
 			}
 		}
 	}
 	return nil, nil
 }
 
-// checkObserver walks everything reachable from one recorder hook. The
-// hooks observe the executor from inside it, so unlike async roots the
+// checkObserver walks everything reachable from one observer function.
+// Observers watch the executor from inside it, so unlike async roots the
 // boundary is not a sanctioned door here — calling it is the violation.
-func checkObserver(pass *analysis.Pass, g *callgraph.Graph, root *callgraph.Node, where string, reported map[token.Pos]bool) {
+func checkObserver(pass *analysis.Pass, g *callgraph.Graph, root *callgraph.Node, reported map[token.Pos]bool) {
 	g.Walk(root, func(from *callgraph.Node, site *ast.CallExpr, callee *types.Func) bool {
 		if boundary[callee.Name()] {
 			if !reported[site.Pos()] {
 				reported[site.Pos()] = true
 				pass.Reportf(site.Pos(),
-					"%s is a journal observer (%s) and calls %s — the flight recorder observes the executor, it must never drive it",
-					from.Name(), where, callee.Name())
+					"%s is an observer (declared in %s) and calls %s — the seam observes the executor, it must never drive it",
+					from.Name(), observerFile, callee.Name())
 			}
 			return false
 		}
@@ -208,8 +177,8 @@ func checkObserver(pass *analysis.Pass, g *callgraph.Graph, root *callgraph.Node
 			if !reported[site.Pos()] {
 				reported[site.Pos()] = true
 				pass.Reportf(site.Pos(),
-					"%s is a journal observer (%s) and calls %s, declared in %s — observers never enter the synchronous modules",
-					from.Name(), where, callee.Name(), file)
+					"%s is an observer (declared in %s) and calls %s, declared in %s — observers never enter the synchronous modules",
+					from.Name(), observerFile, callee.Name(), file)
 			}
 			return false
 		}

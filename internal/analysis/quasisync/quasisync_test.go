@@ -8,5 +8,5 @@ import (
 )
 
 func TestQuasisync(t *testing.T) {
-	analysistest.Run(t, "testdata", quasisync.Analyzer, "quasisync", "adversary", "flightseal", "faultplane", "telemetry")
+	analysistest.Run(t, "testdata", quasisync.Analyzer, "quasisync", "adversary")
 }

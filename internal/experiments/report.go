@@ -11,14 +11,16 @@ import (
 // emits a Document so the tables can be diffed, plotted, and regression-
 // checked across revisions instead of scraped out of aligned text.
 
-// SchemaV1 identified the original JSON layout; SchemaV2 adds the
-// telemetry sections (hot-path latency percentiles, executor profile,
-// per-connection series) to the Table 1 structured run and the
-// telemetry-overhead report. V2 is a pure superset: a V1 reader that
-// ignores unknown fields parses V2 documents unchanged.
+// SchemaV1 identified the original JSON layout; SchemaV2 added the
+// telemetry section (hot-path latency percentiles, executor profile,
+// per-connection series) to the Table 1 structured run, as a pure
+// superset. SchemaV3 replaces V2's separate flight and
+// telemetry_overhead reports with the one attestation report; the
+// tables are unchanged.
 const (
 	SchemaV1 = "foxbench/v1"
 	SchemaV2 = "foxbench/v2"
+	SchemaV3 = "foxbench/v3"
 )
 
 // Document is the top-level object foxbench -json writes: one entry per
@@ -50,12 +52,11 @@ type Report struct {
 	RoundTrip       []RTTJSON      `json:"round_trip,omitempty"`
 	SenderProfile   *ProfileJSON   `json:"sender_profile,omitempty"`
 	ReceiverProfile *ProfileJSON   `json:"receiver_profile,omitempty"`
-	Flight          *FlightJSON    `json:"flight,omitempty"`
 	// Telemetry carries the structured run's plane snapshots (latency
-	// percentiles, executor profile, cwnd trace); TelemetryOverhead the
-	// off/on cost measurement. Both are foxbench/v2 additions.
-	Telemetry         *TelemetryJSON         `json:"telemetry,omitempty"`
-	TelemetryOverhead *TelemetryOverheadJSON `json:"telemetry_overhead,omitempty"`
+	// percentiles, executor profile, cwnd trace); Attestation the
+	// observers' off/on purity check and cost measurement.
+	Telemetry   *TelemetryJSON `json:"telemetry,omitempty"`
+	Attestation *Attestation   `json:"attestation,omitempty"`
 }
 
 // TransferJSON is one bulk-transfer measurement.
@@ -182,7 +183,7 @@ func Table2Report(o Options) (Report, string) {
 
 // NewDocument wraps reports in the versioned envelope.
 func NewDocument(o Options, reports ...Report) Document {
-	return Document{Schema: SchemaV2, Options: o.reportOptions(), Reports: reports}
+	return Document{Schema: SchemaV3, Options: o.reportOptions(), Reports: reports}
 }
 
 // Marshal renders the document as indented JSON with a trailing newline.

@@ -124,6 +124,11 @@ func TestKeepalivePartitionAborts(t *testing.T) {
 		if len(cerrs) != 1 || cerrs[0] != tcp.ErrTimeout {
 			t.Errorf("client errors = %v, want exactly [ErrTimeout]", cerrs)
 		}
+		// A keepalive abort is not a user-timeout abort: the hard group's
+		// ProgressTimeouts counts only the latter, on either side.
+		if n := client.H.ProgressTimeouts.Load() + server.H.ProgressTimeouts.Load(); n != 0 {
+			t.Errorf("hard.ProgressTimeouts = %d after a keepalive abort, want 0", n)
+		}
 		if got := conn.State(); got != tcp.StateClosed {
 			t.Errorf("client state %v after keepalive gave up, want Closed", got)
 		}
@@ -306,6 +311,12 @@ func runPartitionSoak(t *testing.T, seed uint64, heal bool) {
 			}
 			if err := conn.Write([]byte("x")); err != tcp.ErrProgressTimeout {
 				t.Errorf("seed %d: Write after abort = %v, want sticky ErrProgressTimeout", seed, err)
+			}
+			// The abort shows in the registry's hard group, not only in
+			// the error: exactly one, on the client; the server's half
+			// dies by keepalive, which is not a progress timeout.
+			if c, sv := client.H.ProgressTimeouts.Load(), server.H.ProgressTimeouts.Load(); c != 1 || sv != 0 {
+				t.Errorf("seed %d: hard.ProgressTimeouts client %d server %d, want 1 and 0", seed, c, sv)
 			}
 			// Keepalive reaps the server's half within its own bound.
 			srvDeadline := s.Now() + sim.Time(time.Minute)

@@ -52,14 +52,13 @@ const (
 // perform, a user-call hook pushes a user frame around its enqueues.
 type cause struct {
 	kind string // "" means no cause (root event)
-	ref  uint64 // act/user: seq of the causing record
+	ref  uint64 // act/user: seq of the causing record; tmr: the timer's id
 
 	// pkt digest (kind == CausePkt)
 	pSeq, pAck      uint32
 	pFlags          uint8
 	pWnd, pUp, pMSS uint16
 	pLen            int
-	timer           int // kind == CauseTimer
 }
 
 // Recorder emits journal records to one writer. It is not safe for
@@ -131,9 +130,6 @@ func (r *Recorder) Sync() error {
 //
 //foxvet:hotpath
 func (r *Recorder) BeginPkt(seq, ack uint32, flags uint8, wnd, up, mss uint16, payload int) {
-	if r == nil {
-		return
-	}
 	f := &r.causes[r.ncause]
 	r.ncause++
 	f.kind = CausePkt
@@ -142,44 +138,17 @@ func (r *Recorder) BeginPkt(seq, ack uint32, flags uint8, wnd, up, mss uint16, p
 	f.pLen = payload
 }
 
-// BeginTimer pushes a timer-expiration cause.
+// Begin pushes an action, user-call or timer cause: CauseAct while the
+// executor performs the action whose enq record carried seq ref,
+// CauseUser around a user call whose uop record carried it, CauseTimer
+// around the expiration of timer id ref.
 //
 //foxvet:hotpath
-func (r *Recorder) BeginTimer(which int) {
-	if r == nil {
-		return
-	}
+func (r *Recorder) Begin(kind string, ref uint64) {
 	f := &r.causes[r.ncause]
 	r.ncause++
-	f.kind = CauseTimer
-	f.timer = which
-}
-
-// BeginAct pushes an action cause: the executor is performing the action
-// whose enq record carried seq.
-//
-//foxvet:hotpath
-func (r *Recorder) BeginAct(seq uint64) {
-	if r == nil {
-		return
-	}
-	f := &r.causes[r.ncause]
-	r.ncause++
-	f.kind = CauseAct
-	f.ref = seq
-}
-
-// BeginUser pushes a user-call cause referring to a uop or open record.
-//
-//foxvet:hotpath
-func (r *Recorder) BeginUser(seq uint64) {
-	if r == nil {
-		return
-	}
-	f := &r.causes[r.ncause]
-	r.ncause++
-	f.kind = CauseUser
-	f.ref = seq
+	f.kind = kind
+	f.ref = ref
 }
 
 // EndCause pops the innermost cause frame.
@@ -378,7 +347,7 @@ func (r *Recorder) appendCause(dst []byte) []byte {
 		dst = appendIntField(dst, "pl", int64(f.pLen))
 	case CauseTimer:
 		dst = appendStrField(dst, "ck", f.kind)
-		dst = appendIntField(dst, "tw", int64(f.timer))
+		dst = appendUintField(dst, "tw", f.ref)
 	}
 	return dst
 }

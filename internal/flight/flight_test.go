@@ -14,7 +14,7 @@ func sampleJournal() *bytes.Buffer {
 	r := NewRecorder(&buf)
 	r.Hdr("host1", 1500, []byte(`{"initial_window":4096}`))
 	op := r.UserOp(0, "10.0.0.2:80<->:49152", "open", 0)
-	r.BeginUser(op)
+	r.Begin(CauseUser, op)
 	r.OpenConn(0, "10.0.0.2:80<->:49152", "active", "10.0.0.2", 80, 49152, true, false)
 	enq1 := r.Enqueue(0, "10.0.0.2:80<->:49152", "Send_Segment", []byte("seq=1 flags=S"))
 	r.EndCause()
@@ -26,10 +26,10 @@ func sampleJournal() *bytes.Buffer {
 	r.BeginPkt(700, 2, 0x12, 65535, 0, 1460, 0)
 	enq2 := r.Enqueue(10, "10.0.0.2:80<->:49152", "Process_Data", nil)
 	r.EndCause()
-	r.BeginAct(enq2)
+	r.Begin(CauseAct, enq2)
 	r.Enqueue(10, "10.0.0.2:80<->:49152", "Maybe_Send", nil)
 	r.EndCause()
-	r.BeginTimer(0)
+	r.Begin(CauseTimer, 0)
 	r.Enqueue(20, "10.0.0.2:80<->:49152", "Timer_Expiration(rexmit)", nil)
 	r.EndCause()
 	return &buf
@@ -252,7 +252,7 @@ func TestEmitNoAllocs(t *testing.T) {
 		r.BeginPkt(1, 2, 0x10, 4096, 0, 0, 512)
 		seq := r.Enqueue(12345, conn, "Process_Data", args)
 		r.EndCause()
-		r.BeginAct(seq)
+		r.Begin(CauseAct, seq)
 		r.Enqueue(12345, conn, "Maybe_Send", nil)
 		r.EndCause()
 		r.Beg(12345, conn, seq)

@@ -8,7 +8,7 @@ import (
 func TestNewRegistrySizedCapacity(t *testing.T) {
 	r := NewRegistrySized("h", 8)
 	for i := 0; i < 100; i++ {
-		r.Ring().Add(int64(i), EvRetransmit, "c", "")
+		r.Ring().Add(int64(i), EvRetransmit, "c", 0, 0)
 	}
 	if r.Ring().Len() != 8 {
 		t.Fatalf("Len = %d, want configured capacity 8", r.Ring().Len())
@@ -42,7 +42,7 @@ func TestEventRingWrapJSONRoundTrip(t *testing.T) {
 		EvRST, EvChallengeACK, EvMemPressure,
 	}
 	for i, k := range kinds {
-		r.Add(int64(i), k, "conn", "detail")
+		r.Add(int64(i), k, "conn", 1, 2)
 	}
 	evs := r.Events()
 	if len(evs) != 3 {

@@ -5,8 +5,9 @@
 // structured event ring.
 //
 // Concurrency discipline mirrors the stack's two worlds. Counter, Gauge
-// and Histogram are atomic (sync/atomic) so a snapshot may be taken from
-// outside the scheduler while a simulation is live. Everything plain —
+// and the histogram they share with the telemetry plane (telemetry.Hist)
+// are atomic (sync/atomic) so a snapshot may be taken from outside the
+// scheduler while a simulation is live. Everything plain —
 // the EventRing and the per-connection fields on the TCB — is mutated
 // only inside the quasi-synchronous executor, where the scheduler's
 // channel-handoff protocol already provides happens-before, so no
@@ -22,11 +23,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"reflect"
 	"sort"
 	"strconv"
 	"sync/atomic"
+
+	"repro/internal/telemetry"
 )
 
 // Counter is a monotonically increasing 64-bit counter. The zero value
@@ -114,77 +116,6 @@ func (g *Gauge) bump(n int64) {
 	}
 }
 
-// HistBuckets is the fixed bucket count of a Histogram: bucket i counts
-// observations whose value needs i significant bits, i.e. the range
-// [2^(i-1), 2^i); bucket 0 counts zeros and the last bucket is open.
-const HistBuckets = 32
-
-// Histogram is a fixed-bucket power-of-two histogram. The zero value is
-// ready; Observe is nil-safe and allocation-free.
-type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	buckets [HistBuckets]atomic.Uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	b := bits.Len64(v)
-	if b >= HistBuckets {
-		b = HistBuckets - 1
-	}
-	h.buckets[b].Add(1)
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Mean returns the mean observed value, 0 when empty.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 {
-	if h == nil || i < 0 || i >= HistBuckets {
-		return 0
-	}
-	return h.buckets[i].Load()
-}
-
-// BucketBound returns the inclusive upper bound of bucket i.
-func BucketBound(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(i) - 1
-}
-
 // --- MIB groups ----------------------------------------------------------
 //
 // One struct per protocol layer, field names following RFC 2011/2012 (and
@@ -193,8 +124,10 @@ func BucketBound(i int) uint64 {
 // increment sites never branch; installing the same group into a Registry
 // is what makes it visible.
 
-// TCPMIB is the RFC 2012-style tcp group, plus an Rtt histogram of
-// smoothed round-trip-time samples in microseconds.
+// TCPMIB is the endpoint's one counter set: the RFC 2012-style tcp
+// group, the datapath counts the RFC never standardized (spelled after
+// Linux's TcpExt where one exists), and a histogram of smoothed
+// round-trip-time samples in microseconds. tcp.Stats is a view over it.
 type TCPMIB struct {
 	ActiveOpens  Counter // transitions to SYN-SENT from CLOSED
 	PassiveOpens Counter // transitions to SYN-RECEIVED from LISTEN
@@ -206,7 +139,18 @@ type TCPMIB struct {
 	RetransSegs  Counter // segments retransmitted
 	InErrs       Counter // segments discarded for bad checksum/format
 	OutRsts      Counter // RST segments sent
-	RttUsec      Histogram
+	InCsumErrs   Counter // the bad-checksum share of InErrs
+	InRsts       Counter // RST segments received on a connection
+	InNoConns    Counter // segments for which no connection or listener existed
+	InFastPath   Counter // segments the header-prediction fast path handled
+	InSlowPath   Counter // segments that took the full receive DAG
+	InDupAcks    Counter // duplicate ACKs received with data in flight
+	InOutOfOrder Counter // data segments held for reassembly
+	InDataBytes  Counter // payload bytes delivered in order to users
+	OutDataBytes Counter // payload bytes segmentized, excluding retransmissions
+	DelayedAcks  Counter // ACKs sent by the delayed-ACK timer
+	Accepts      Counter // connections a listener created, embryonic ones included
+	RttUsec      telemetry.Hist
 }
 
 // HardenMIB counts the hostile-network defenses: RFC 5961 challenge
@@ -220,6 +164,7 @@ type HardenMIB struct {
 	SynQueueOverflows       Counter // half-open connections evicted, table full
 	SynDropsPressure        Counter // SYNs refused under memory pressure
 	OOOEvictions            Counter // reassembly-queue segments evicted at the cap
+	ProgressTimeouts        Counter // connections aborted by the user timeout: no forward progress
 	MemPressureEnter        Counter // normal -> pressure transitions
 	MemPressureExit         Counter // returns to normal
 	MemExhaustedEnter       Counter // transitions into exhausted
@@ -353,7 +298,7 @@ type Snapshot struct {
 
 type entry struct {
 	name  string
-	group any             // pointer to a struct of Counter/Gauge/Histogram
+	group any             // pointer to a struct of Counter/Gauge/telemetry.Hist
 	fn    func() []Sample // or a closure producing samples directly
 }
 
@@ -402,7 +347,7 @@ func (r *Registry) Ring() *EventRing {
 }
 
 // Register adds a named group — a pointer to a struct whose exported
-// fields are Counter, Gauge or Histogram values. Unknown field types are
+// fields are Counter, Gauge or telemetry.Hist values. Unknown field types are
 // skipped at snapshot time. Nil-safe; nil groups are ignored.
 func (r *Registry) Register(name string, group any) {
 	if r == nil || group == nil {
@@ -441,9 +386,9 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 var (
-	counterType   = reflect.TypeOf(Counter{})
-	gaugeType     = reflect.TypeOf(Gauge{})
-	histogramType = reflect.TypeOf(Histogram{})
+	counterType = reflect.TypeOf(Counter{})
+	gaugeType   = reflect.TypeOf(Gauge{})
+	histType    = reflect.TypeOf((*telemetry.Hist)(nil)).Elem()
 )
 
 // walkGroup turns a pointer-to-struct of metric values into samples via
@@ -471,12 +416,17 @@ func walkGroup(group any) []Sample {
 			out = append(out,
 				Sample{Name: f.Name, Value: float64(g.Load())},
 				Sample{Name: f.Name + "High", Value: float64(g.High())})
-		case histogramType:
-			h := v.Field(i).Addr().Interface().(*Histogram)
+		case histType:
+			h := v.Field(i).Addr().Interface().(*telemetry.Hist)
+			n, sum := h.Count(), h.Sum()
+			mean := 0.0
+			if n > 0 {
+				mean = float64(sum) / float64(n)
+			}
 			out = append(out,
-				Sample{Name: f.Name + "Count", Value: float64(h.Count())},
-				Sample{Name: f.Name + "Sum", Value: float64(h.Sum())},
-				Sample{Name: f.Name + "Mean", Value: h.Mean()})
+				Sample{Name: f.Name + "Count", Value: float64(n)},
+				Sample{Name: f.Name + "Sum", Value: float64(sum)},
+				Sample{Name: f.Name + "Mean", Value: mean})
 		}
 	}
 	return out

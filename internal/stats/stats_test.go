@@ -50,35 +50,30 @@ func TestGaugeHighWater(t *testing.T) {
 	}
 }
 
+// TestHistogramBuckets: a MIB group's histogram is the telemetry plane's
+// log-bucket Hist, and the registry renders it as Count, Sum and Mean.
 func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	h.Observe(0)   // bucket 0
-	h.Observe(1)   // bucket 1
-	h.Observe(2)   // bucket 2
-	h.Observe(3)   // bucket 2
-	h.Observe(100) // bucket 7 (64..127)
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
+	var m TCPMIB
+	for _, v := range []uint64{0, 1, 2, 3, 100} {
+		m.RttUsec.Observe(v)
 	}
-	if h.Sum() != 106 {
-		t.Fatalf("Sum = %d, want 106", h.Sum())
+	r := NewRegistry("h")
+	r.Register("tcp", &m)
+	snap := r.Snapshot()
+	for name, want := range map[string]float64{
+		"tcp.RttUsecCount": 5, "tcp.RttUsecSum": 106, "tcp.RttUsecMean": 106.0 / 5,
+	} {
+		if got, ok := snap.Get(name); !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
 	}
-	if got := h.Bucket(2); got != 2 {
-		t.Fatalf("Bucket(2) = %d, want 2", got)
+	if got := m.RttUsec.Quantile(1); got != 100 {
+		t.Errorf("Quantile(1) = %d, want the exact max 100", got)
 	}
-	if got := h.Bucket(7); got != 1 {
-		t.Fatalf("Bucket(7) = %d, want 1", got)
-	}
-	if want := 106.0 / 5; h.Mean() != want {
-		t.Fatalf("Mean = %v, want %v", h.Mean(), want)
-	}
-	if BucketBound(3) != 7 {
-		t.Fatalf("BucketBound(3) = %d, want 7", BucketBound(3))
-	}
-	var nilh *Histogram
-	nilh.Observe(9)
-	if nilh.Count() != 0 || nilh.Mean() != 0 {
-		t.Fatal("nil histogram not inert")
+	r2 := NewRegistry("empty")
+	r2.Register("tcp", new(TCPMIB))
+	if mean, _ := r2.Snapshot().Get("tcp.RttUsecMean"); mean != 0 {
+		t.Errorf("empty histogram mean = %v, want 0", mean)
 	}
 }
 
@@ -202,7 +197,7 @@ func TestRegistryNilSafe(t *testing.T) {
 		t.Fatal("nil registry snapshot not empty")
 	}
 	// The ring from a nil registry must itself be inert.
-	r.Ring().Add(1, EvRST, "c", "d")
+	r.Ring().Add(1, EvRST, "c", 0, 0)
 	if r.Ring().Len() != 0 {
 		t.Fatal("nil ring accepted an event")
 	}
@@ -211,7 +206,7 @@ func TestRegistryNilSafe(t *testing.T) {
 func TestEventRingOrderAndOverwrite(t *testing.T) {
 	r := NewEventRing(4)
 	for i := 0; i < 6; i++ {
-		r.Add(int64(i), EvStateTransition, "conn", "")
+		r.Add(int64(i), EvStateTransition, "conn", 0, 0)
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
@@ -259,16 +254,9 @@ func BenchmarkNilCounterInc(b *testing.B) {
 	}
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
-	var h Histogram
-	for i := 0; i < b.N; i++ {
-		h.Observe(uint64(i))
-	}
-}
-
 func BenchmarkRingAdd(b *testing.B) {
 	r := NewEventRing(256)
 	for i := 0; i < b.N; i++ {
-		r.Add(int64(i), EvRetransmit, "a:1-b:2", "")
+		r.Add(int64(i), EvRetransmit, "a:1-b:2", int64(i), 1)
 	}
 }

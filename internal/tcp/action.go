@@ -6,7 +6,6 @@ import (
 	"repro/internal/basis"
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/timers"
 )
 
@@ -30,12 +29,9 @@ func (c *Conn) setTimer(which timerID, d sim.Duration) {
 		return
 	}
 	c.tcb.timer[which] = timers.Start(c.t.s, func() {
-		sec := c.t.cfg.Prof.Start(profile.CatTCP)
-		c.t.cfg.Flight.BeginTimer(int(which))
+		e := c.enter(enterTimer, int(which))
 		c.enqueue(actTimerExpired{which: which})
-		c.run()
-		c.t.cfg.Flight.EndCause()
-		sec.Stop()
+		c.leave(e)
 	}, d)
 }
 
@@ -59,7 +55,7 @@ func (c *Conn) timerExpired(which timerID) {
 		c.resendTimeout()
 	case timerDelayedAck:
 		if c.tcb.ackPending {
-			c.t.stats.AcksDelayed++
+			c.note(evAckDelayed, 0, 0)
 			c.tcb.ackNow = true
 			c.sendModule()
 		}
@@ -93,7 +89,6 @@ func (c *Conn) keepaliveExpired() {
 		return
 	}
 	if tcb.keepaliveProbes >= c.t.cfg.KeepaliveCount {
-		c.t.cfg.Trace.Printf("conn %v: keepalive gave up after %d probes", c.key, tcb.keepaliveProbes)
 		c.stateAbort(ErrTimeout)
 		return
 	}
@@ -132,48 +127,28 @@ func (c *Conn) emit(sg *segment, pkt *basis.Packet) {
 	}
 	cks := c.t.cfg.Prof.Start(profile.CatChecksum)
 	sg.marshal(pkt, pseudo, compute)
-	cks.Stop()
 	if compute {
-		c.chargeDataPath(profile.CatChecksum, c.t.cfg.DataPath.ChecksumPerKB, sg.headerBytes()+len(sg.data))
+		c.t.chargePerKB(c.t.cfg.DataPath.ChecksumPerKB, sg.headerBytes()+len(sg.data))
 	}
+	cks.Stop()
 
 	// Sending any ACK satisfies a pending delayed ACK (retransmissions
 	// included; first transmissions already settled at decision time).
 	if sg.has(flagACK) {
 		c.clearAckDebt()
 	}
-	if sg.has(flagRST) {
-		c.t.stats.RSTSent++
-		c.t.cfg.Metrics.OutRsts.Inc()
-		c.event(stats.EvRST, "sent")
-	}
-	c.t.stats.SegsSent++
-	// RFC 2012 splits output: OutSegs excludes retransmissions, which
-	// RetransSegs counts instead. A segment re-emitted from the
-	// retransmission queue has rexmits > 0.
-	if sg.rexmits > 0 {
-		c.t.cfg.Metrics.RetransSegs.Inc()
-		c.tcb.rexmits++
-	} else {
-		c.t.cfg.Metrics.OutSegs.Inc()
-		c.tcb.segsOut++
-	}
-	if c.t.cfg.Trace.On() {
-		c.t.cfg.Trace.Printf("tx %v %s", c.key.raddr, sg)
-	}
+	c.t.observeSegOut(c, c.key.raddr, sg)
 	c.t.net.Send(c.key.raddr, pkt)
 }
 
-// chargeDataPath charges the calibrated per-KB cost for n bytes of a
-// data-touching operation, attributed to cat as its own profile section
-// so the exclusive accounting stays correct.
-func (c *Conn) chargeDataPath(cat profile.Category, perKB sim.Duration, n int) {
-	if perKB == 0 || n == 0 {
-		return
+// chargePerKB charges the calibrated per-KB cost (Config.DataPath) for
+// n bytes of a data-touching operation. Callers charge inside the
+// profile section of the operation itself, so the time lands in its
+// Table 2 row.
+func (t *TCP) chargePerKB(perKB sim.Duration, n int) {
+	if perKB != 0 && n != 0 {
+		t.s.Charge(perKB * sim.Duration(n) / 1024)
 	}
-	sec := c.t.cfg.Prof.Start(cat)
-	c.t.s.Charge(perKB * sim.Duration(n) / 1024)
-	sec.Stop()
 }
 
 // advertisedWindow clamps the receive window into the 16-bit header

@@ -1,10 +1,9 @@
 package tcp
 
 import (
-	"fmt"
-
 	"repro/internal/basis"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // action is the paper's tcp_action datatype (Fig. 8): everything that can
@@ -12,9 +11,10 @@ import (
 // the corresponding actions and queues them onto the connection's to_do
 // queue"; the executor in conn.go then performs them one at a time.
 // Actions are designed not to wait; anything that must happen later is
-// expressed by starting a timer or queueing another action.
+// expressed by starting a timer or queueing another action. kind is the
+// constructor's row in the one table of action names.
 type action interface {
-	actionName() string
+	kind() telemetry.ActKind
 }
 
 // actProcessData carries an internalized incoming segment to the Receive
@@ -80,18 +80,3 @@ type actPeerClosed struct{}
 
 // actDeleteTCB removes the connection from the endpoint's demux table.
 type actDeleteTCB struct{}
-
-func (actProcessData) actionName() string  { return "Process_Data" }
-func (actSendSegment) actionName() string  { return "Send_Segment" }
-func (actUserData) actionName() string     { return "User_Data" }
-func (actUserError) actionName() string    { return "User_Error" }
-func (a actSetTimer) actionName() string   { return fmt.Sprintf("Set_Timer(%v)", a.which) }
-func (a actClearTimer) actionName() string { return fmt.Sprintf("Clear_Timer(%v)", a.which) }
-func (a actTimerExpired) actionName() string {
-	return fmt.Sprintf("Timer_Expiration(%v)", a.which)
-}
-func (actMaybeSend) actionName() string     { return "Maybe_Send" }
-func (actCompleteOpen) actionName() string  { return "Complete_Open" }
-func (actCompleteClose) actionName() string { return "Complete_Close" }
-func (actPeerClosed) actionName() string    { return "Peer_Closed" }
-func (actDeleteTCB) actionName() string     { return "Delete_TCB" }

@@ -1,14 +1,8 @@
 package tcp
 
 import (
-	"time"
-
-	"repro/internal/basis"
-	"repro/internal/profile"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // Conn is one TCP connection. Every mutation of its TCB happens inside
@@ -41,16 +35,9 @@ type Conn struct {
 	// Pull-model receive state (read.go); used when Handler.Data is nil.
 	recv recvState
 
-	// recSeqs pairs journaled enqueues with their drains: the flight
-	// recorder pushes each enq record's seq here, and the executor pops
-	// it at perform time (FIFO order matches the to_do queue exactly).
-	recSeqs basis.FIFO[uint64]
-
-	// telTimes pairs telemetry-stamped enqueues with their drains the
-	// same way (telemetry.go); telSeries is this connection's sample
-	// ring, nil when telemetry is off or its slots ran out.
-	telTimes  basis.FIFO[int64]
-	telSeries *telemetry.Series
+	// watch is the door's per-connection state (observe.go), nil unless
+	// something observes the endpoint's door.
+	watch *connWatch
 
 	openDone  bool
 	openErr   error
@@ -72,63 +59,22 @@ func newConn(t *TCP, key connKey) *Conn {
 	c.closeCond = sim.NewCond(t.s)
 	c.bufCond = sim.NewCond(t.s)
 	c.readCond = sim.NewCond(t.s)
-	if tl := t.cfg.Telemetry; tl != nil {
-		c.telOpen(tl)
-	}
+	t.observeAttach(c)
 	return c
 }
 
 // State reports the connection state.
 func (c *Conn) State() State { return c.state }
 
-// inEstabGroup reports whether a state counts toward RFC 2012's
-// tcpCurrEstab (ESTABLISHED or CLOSE-WAIT).
-func inEstabGroup(s State) bool { return s == StateEstab || s == StateCloseWait }
-
 // setState is the single door through which every state-machine move
-// passes. Centralizing it here keeps the RFC 2012 connection-table
-// counters (CurrEstab, ActiveOpens, PassiveOpens, AttemptFails,
-// EstabResets) and the structured event record exact by construction —
-// no transition can forget its accounting.
+// passes, so no transition can forget its accounting (observeState).
 func (c *Conn) setState(to State) {
 	from := c.state
 	if from == to {
 		return
 	}
 	c.state = to
-	m := c.t.cfg.Metrics
-	if inEstabGroup(from) != inEstabGroup(to) {
-		if inEstabGroup(to) {
-			m.CurrEstab.Inc()
-		} else {
-			m.CurrEstab.Dec()
-		}
-	}
-	switch to {
-	case StateSynSent:
-		m.ActiveOpens.Inc()
-	case StateSynPassive:
-		m.PassiveOpens.Inc()
-	case StateClosed, StateListen:
-		switch from {
-		case StateSynSent, StateSynActive, StateSynPassive:
-			m.AttemptFails.Inc()
-		case StateEstab, StateCloseWait:
-			m.EstabResets.Inc()
-		}
-	}
-	if ev := c.t.cfg.Events; ev != nil {
-		ev.Add(int64(c.t.s.Now()), stats.EvStateTransition, c.name, from.String()+" -> "+to.String())
-	}
-}
-
-// event records a structured event for this connection. Call sites that
-// format a detail string guard on Events != nil first so a host without
-// a ring pays one branch and no formatting.
-func (c *Conn) event(kind stats.EventKind, detail string) {
-	if ev := c.t.cfg.Events; ev != nil {
-		ev.Add(int64(c.t.s.Now()), kind, c.name, detail)
-	}
+	c.observeState(from, to)
 }
 
 // ConnStats is a snapshot of one connection's counters and estimators —
@@ -218,11 +164,8 @@ func (c *Conn) enqueue(a action) {
 	if n := c.tcb.toDo.Len(); n > c.tcb.toDoHW {
 		c.tcb.toDoHW = n
 	}
-	if fr := c.t.cfg.Flight; fr != nil {
-		c.recEnqueue(fr, a)
-	}
-	if c.t.cfg.Telemetry != nil {
-		c.telEnqueue()
+	if c.t.obs.door {
+		c.observeEnqueue(a)
 	}
 }
 
@@ -238,40 +181,13 @@ func (c *Conn) run() {
 		if !ok {
 			break
 		}
-		if c.t.cfg.Trace.On() {
-			c.t.cfg.Trace.Printf("conn %v: %s (queue %d)", c.key, a.actionName(), c.tcb.toDo.Len())
-		}
-		fr := c.t.cfg.Flight
-		tl := c.t.cfg.Telemetry
-		if fr == nil && tl == nil {
+		if !c.t.obs.door {
 			c.perform(a)
 			continue
 		}
-		// Journal the drain: beg record, TCB snapshot, the action itself
-		// (whose own enqueues are attributed to it), then the
-		// changed-field delta — the paper's test-by-TCB-comparison
-		// discipline applied to every single action. Telemetry brackets
-		// the same span: the enqueue→perform gap before, the action's
-		// virtual/wall attribution and a due sample after.
-		var eq uint64
-		var pre tcbSnap
-		if fr != nil {
-			eq = c.recBeg(fr)
-			pre = c.snapTCB()
-		}
-		var vstart int64
-		var wstart time.Time
-		if tl != nil {
-			vstart, wstart = c.telBeg(tl)
-		}
+		sp := c.observeBegin(a)
 		c.perform(a)
-		if fr != nil {
-			post := c.snapTCB()
-			c.recEnd(fr, eq, &pre, &post)
-		}
-		if tl != nil {
-			c.telEnd(tl, telKind(a), vstart, wstart)
-		}
+		c.observeEnd(a, &sp)
 	}
 	c.executing = false
 }
@@ -284,8 +200,7 @@ func (c *Conn) perform(a action) {
 	case actSendSegment:
 		c.emit(a.seg, a.pkt)
 	case actUserData:
-		c.t.stats.BytesReceived += uint64(len(a.data))
-		c.tcb.bytesIn += uint64(len(a.data))
+		c.note(evDelivered, int64(len(a.data)), 0)
 		if c.handler.Data != nil {
 			c.handler.Data(c, a.data)
 		} else {
@@ -393,6 +308,17 @@ func (c *Conn) deleteTCB() {
 	c.bufCond.Broadcast()
 }
 
+// enter and leave bracket every entry to the executor — a user call, a
+// timer expiry, a packet arrival: between them the thread mutates the
+// TCB and enqueues, and leave drains to_do before the entry closes, so
+// "the thread that enqueues is the thread that drains".
+func (c *Conn) enter(k entryKind, n int) entry { return c.t.observeEnter(c, k, n, nil) }
+
+func (c *Conn) leave(e entry) {
+	c.run()
+	c.t.observeLeave(e)
+}
+
 // Write queues data for transmission, blocking the calling thread while
 // the send buffer is full. The implementation references data's bytes
 // only until they are segmentized (copied once into a packet); callers
@@ -401,11 +327,7 @@ func (c *Conn) Write(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	tl := c.t.cfg.Telemetry
-	var telStart sim.Time
-	if tl != nil {
-		telStart = c.t.s.Now()
-	}
+	start := c.t.observeUserStart()
 	for len(data) > 0 {
 		if c.termErr != nil {
 			return c.termErr
@@ -422,19 +344,14 @@ func (c *Conn) Write(data []byte) error {
 		if n > space {
 			n = space
 		}
-		c.recBeginUser("write", n)
-		sec := c.t.cfg.Prof.Start(profile.CatTCP)
+		e := c.enter(enterWrite, n)
 		c.tcb.queuePush(data[:n])
 		c.t.memCharge(n)
 		c.enqueue(actMaybeSend{})
-		c.run()
-		sec.Stop()
-		c.recEndUser()
+		c.leave(e)
 		data = data[n:]
 	}
-	if tl != nil {
-		c.telUser(&tl.Write, telStart)
-	}
+	c.t.observeUserDone(enterWrite, start)
 	return nil
 }
 
@@ -446,9 +363,10 @@ func (c *Conn) WriteUrgent(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	c.recUop("wurg", len(data))
+	e := c.enter(enterUrgent, len(data))
 	c.tcb.sndUpSeq = c.tcb.sndNxt + seq(sat32(c.tcb.queuedBytes)) + seq(len(data))
 	c.tcb.urgentPending = true
+	c.leave(e)
 	return c.Write(data)
 }
 
@@ -458,16 +376,7 @@ func (c *Conn) Close() error {
 	if c.termErr != nil {
 		return c.termErr
 	}
-	if c.tcb.finQueued {
-		// Second close: just wait with the first.
-	} else {
-		c.recBeginUser("close", 0)
-		sec := c.t.cfg.Prof.Start(profile.CatTCP)
-		c.stateClose()
-		c.run()
-		sec.Stop()
-		c.recEndUser()
-	}
+	c.Shutdown() // a second close just waits with the first
 	for !c.closeDone {
 		c.closeCond.Wait()
 	}
@@ -482,18 +391,14 @@ func (c *Conn) Shutdown() {
 	if c.termErr != nil || c.tcb.finQueued {
 		return
 	}
-	c.recBeginUser("close", 0)
+	e := c.enter(enterClose, 0)
 	c.stateClose()
-	c.run()
-	c.recEndUser()
+	c.leave(e)
 }
 
 // Abort resets the connection: RST to the peer, error to every waiter.
 func (c *Conn) Abort() {
-	c.recBeginUser("abort", 0)
-	sec := c.t.cfg.Prof.Start(profile.CatTCP)
+	e := c.enter(enterAbort, 0)
 	c.stateAbort(ErrAborted)
-	c.run()
-	sec.Stop()
-	c.recEndUser()
+	c.leave(e)
 }

@@ -516,7 +516,7 @@ func TestTraceOutputMentionsSegments(t *testing.T) {
 		s.Sleep(time.Second)
 	})
 	out := traced.String()
-	for _, want := range []string{"[S]", "[S.]", "Process_Data", "established"} {
+	for _, want := range []string{"[S]", "[S.]", "Process_Data", "Syn_Sent -> Estab"} {
 		if !bytes.Contains(traced.Bytes(), []byte(want)) {
 			t.Fatalf("trace missing %q:\n%s", want, out[:min(len(out), 2000)])
 		}

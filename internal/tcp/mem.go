@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Resource governance. A hostile or broken peer can try to make an
@@ -37,18 +36,8 @@ type memAccount struct {
 	state      memState
 }
 
-// memTransition holds preformatted "FROM -> TO" details for the event
-// ring, indexed [from][to]; constants keep memCharge allocation-free on
-// the per-segment path.
-var memTransition = [3][3]string{
-	{"", "normal -> pressure", "normal -> exhausted"},
-	{"pressure -> normal", "", "pressure -> exhausted"},
-	{"exhausted -> normal", "exhausted -> pressure", ""},
-}
-
 // memCharge adjusts the endpoint account by delta bytes (negative to
-// release) and recomputes the tri-state, counting and recording
-// transitions.
+// release) and recomputes the tri-state.
 func (t *TCP) memCharge(delta int) {
 	m := &t.mem
 	m.used += delta
@@ -57,7 +46,6 @@ func (t *TCP) memCharge(delta int) {
 		// the account fails toward caution rather than wrapping.
 		m.used = 0
 	}
-	t.cfg.Harden.MemBytes.Set(int64(m.used))
 	next := memNormal
 	switch {
 	case m.used >= m.limit:
@@ -65,22 +53,8 @@ func (t *TCP) memCharge(delta int) {
 	case m.used >= m.pressureAt:
 		next = memPressure
 	}
-	if next == m.state {
-		return
-	}
-	from := m.state
+	t.observeMem(m.used, m.state, next)
 	m.state = next
-	switch {
-	case next == memExhausted:
-		t.cfg.Harden.MemExhaustedEnter.Inc()
-	case next == memPressure && from == memNormal:
-		t.cfg.Harden.MemPressureEnter.Inc()
-	case next == memNormal:
-		t.cfg.Harden.MemPressureExit.Inc()
-	}
-	if ev := t.cfg.Events; ev != nil {
-		ev.Add(int64(t.s.Now()), stats.EvMemPressure, "", memTransition[from][next])
-	}
 }
 
 // takeChallengeToken implements the RFC 5961 §10 challenge-ACK rate
@@ -138,7 +112,7 @@ func (c *Conn) oooRelease(sg *segment) {
 func (l *Listener) join(c *Conn) {
 	c.listener = l
 	l.halfOpen = append(l.halfOpen, c)
-	l.t.cfg.Harden.HalfOpen.Inc()
+	c.note(evHalfOpen, 1, 0)
 }
 
 // leaveHalfOpen removes the connection from its listener's half-open
@@ -158,7 +132,7 @@ func (c *Conn) leaveHalfOpen() {
 			break
 		}
 	}
-	l.t.cfg.Harden.HalfOpen.Dec()
+	c.note(evHalfOpen, -1, 0)
 }
 
 // evictOldestHalfOpen silently drops the listener's oldest embryonic
@@ -170,7 +144,7 @@ func (l *Listener) evictOldestHalfOpen() {
 		return
 	}
 	victim := l.halfOpen[0]
-	l.t.cfg.Harden.SynQueueOverflows.Inc()
+	victim.note(evSynQueueOverflow, 0, 0)
 	victim.enqueue(actDeleteTCB{})
 	victim.run()
 }

@@ -636,8 +636,8 @@ func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
 		if len(sent) == 0 || sent[0].seq != 1001 {
 			t.Fatalf("no fast retransmit: %v", sent)
 		}
-		if ep.stats.Retransmits != 1 {
-			t.Fatalf("Retransmits = %d", ep.stats.Retransmits)
+		if got := ep.Stats().Retransmits; got != 1 {
+			t.Fatalf("Retransmits = %d", got)
 		}
 		if c.tcb.cwnd != 1000 {
 			t.Fatalf("cwnd = %d after loss (Tahoe wants 1 MSS)", c.tcb.cwnd)

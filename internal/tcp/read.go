@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/basis"
-	"repro/internal/sim"
 )
 
 // This file adds the pull model for receiving data. A connection whose
@@ -54,11 +53,7 @@ func (c *Conn) Read(dst []byte) (int, error) {
 	if c.handler.Data != nil {
 		return 0, errSegment("Read requires a connection without a Data handler")
 	}
-	tl := c.t.cfg.Telemetry
-	var telStart sim.Time
-	if tl != nil {
-		telStart = c.t.s.Now()
-	}
+	start := c.t.observeUserStart()
 	for c.recv.buffered == 0 {
 		if c.termErr != nil {
 			return 0, c.termErr
@@ -83,13 +78,10 @@ func (c *Conn) Read(dst []byte) (int, error) {
 			c.recv.buf.PushFront(front[k:])
 		}
 	}
-	c.recBeginUser("read", n)
+	e := c.enter(enterRead, n)
 	c.finishRead(n)
-	c.run()
-	c.recEndUser()
-	if tl != nil {
-		c.telUser(&tl.Read, telStart)
-	}
+	c.leave(e)
+	c.t.observeUserDone(enterRead, start)
 	return n, nil
 }
 

@@ -1,7 +1,5 @@
 package tcp
 
-import "repro/internal/stats"
-
 // This file is the paper's Receive module. The standard describes segment
 // arrival "as a procedure with branch points and merge points, but no
 // loops (a directed acyclic graph)"; the paper implements "exactly the
@@ -22,16 +20,19 @@ func (c *Conn) receiveSegment(sg *segment) {
 		return
 	case StateListen:
 		c.rcvListen(sg)
+		return
 	case StateSynSent:
 		c.rcvSynSent(sg)
-	case StateTimeWait:
+		return
+	}
+	if c.state == StateEstab && c.t.cfg.fastPath() && c.fastPathIn(sg) {
+		c.note(evFastPathIn, 0, 0)
+		return
+	}
+	c.note(evSlowPathIn, 0, 0)
+	if c.state == StateTimeWait {
 		c.rcvTimeWait(sg)
-	default:
-		if c.t.cfg.fastPath() && c.state == StateEstab && c.fastPathIn(sg) {
-			c.t.stats.FastPathIn++
-			return
-		}
-		c.t.stats.SlowPathIn++
+	} else {
 		c.rcvGeneral(sg)
 	}
 }
@@ -42,9 +43,8 @@ func (c *Conn) receiveSegment(sg *segment) {
 // directs; resets are ignored per RFC 1337 so a stray RST cannot
 // assassinate the quarantine.
 func (c *Conn) rcvTimeWait(sg *segment) {
-	c.t.stats.SlowPathIn++
 	if sg.has(flagRST) {
-		c.t.stats.RSTReceived++
+		c.note(evRstIn, 0, 0)
 		return
 	}
 	if sg.has(flagSYN) {
@@ -98,7 +98,7 @@ func (c *Conn) rcvSynSent(sg *segment) {
 	}
 	if sg.has(flagRST) {
 		if ackOK {
-			c.t.stats.RSTReceived++
+			c.note(evRstIn, 0, 0)
 			c.enqueue(actUserError{err: ErrRefused})
 		}
 		return
@@ -143,7 +143,6 @@ func (c *Conn) rcvSynSent(sg *segment) {
 		mss: c.t.localMSS(),
 	}
 	c.enqueue(actSendSegment{seg: synAck})
-	c.t.cfg.Trace.Printf("conn %v: simultaneous open", c.key)
 }
 
 // rcvGeneral: "Otherwise" — the eight numbered steps of RFC 793 p. 69.
@@ -160,8 +159,8 @@ func (c *Conn) rcvGeneral(sg *segment) {
 		if sg.seq == c.tcb.rcvNxt {
 			c.handleRst()
 		} else {
-			c.t.stats.RSTReceived++
-			c.sendChallengeAck("in-window RST")
+			c.note(evRstIn, 0, 0)
+			c.sendChallengeAck(challengeRST)
 		}
 		return
 	}
@@ -171,7 +170,7 @@ func (c *Conn) rcvGeneral(sg *segment) {
 		// attacker kill it with a spoofed SYN. RFC 5961 §4.2 sends a
 		// challenge ACK instead: a peer that genuinely restarted answers
 		// the challenge with an exact-sequence RST.
-		c.sendChallengeAck("in-window SYN")
+		c.sendChallengeAck(challengeSYN)
 		return
 	}
 	if !sg.has(flagACK) { // fifth: segments without ACK are dropped
@@ -242,8 +241,7 @@ func (c *Conn) checkSequence(sg *segment) bool {
 
 // handleRst is the second step's per-state consequence.
 func (c *Conn) handleRst() {
-	c.t.stats.RSTReceived++
-	c.event(stats.EvRST, "received")
+	c.note(evRstAccepted, 0, 0)
 	switch c.state {
 	case StateSynPassive:
 		// Passive open returns quietly to LISTEN (the listener is still
@@ -307,7 +305,7 @@ func (c *Conn) processAck(sg *segment) bool {
 		// largest window the peer ever saw cannot be a delayed
 		// duplicate; challenge it instead of feeding the dup-ack
 		// machinery.
-		c.sendChallengeAck("stale ACK")
+		c.sendChallengeAck(challengeStaleAck)
 		return false
 	case seqGT(sg.ack, tcb.sndUna):
 		c.ackAdvance(sg.ack)
@@ -363,7 +361,7 @@ func (c *Conn) processText(sg *segment) {
 			tcb.ackPending = true
 		}
 	} else {
-		c.t.stats.OutOfOrder++
+		c.note(evOutOfOrder, 0, 0)
 		c.insertOutOfOrder(sg)
 		// A hole: ack immediately so the peer sees the duplicate.
 		tcb.ackNow = true
@@ -407,7 +405,7 @@ func (c *Conn) insertOutOfOrder(sg *segment) {
 		c.tcb.outOfOrder[last] = nil
 		c.tcb.outOfOrder = c.tcb.outOfOrder[:last]
 		c.oooRelease(victim)
-		c.t.cfg.Harden.OOOEvictions.Inc()
+		c.note(evOOOEvicted, 0, 0)
 	}
 }
 
@@ -472,13 +470,12 @@ func (c *Conn) checkFin(sg *segment) {
 // tells a blind attacker nothing. Rate-limited per connection so the
 // defense is not itself an amplifier, nor (as an endpoint-wide bucket
 // would be) an off-path side channel coupling unrelated connections.
-func (c *Conn) sendChallengeAck(reason string) {
+func (c *Conn) sendChallengeAck(reason int64) {
 	if !c.takeChallengeToken() {
-		c.t.cfg.Harden.ChallengeACKsSuppressed.Inc()
+		c.note(evChallengeMuted, 0, 0)
 		return
 	}
-	c.t.cfg.Harden.ChallengeACKsSent.Inc()
-	c.event(stats.EvChallengeACK, reason)
+	c.note(evChallengeAck, reason, 0)
 	c.tcb.ackNow = true
 	c.enqueue(actMaybeSend{})
 }
@@ -494,7 +491,7 @@ func (c *Conn) sendChallengeAck(reason string) {
 // bucket rate and is effectively never suppressed.
 func (c *Conn) sendThrottledAck() {
 	if !c.takeChallengeToken() {
-		c.t.cfg.Harden.OOWAcksSuppressed.Inc()
+		c.note(evOOWAckMuted, 0, 0)
 		return
 	}
 	c.tcb.ackNow = true

@@ -1,14 +1,11 @@
 package tcp
 
-// Flight-recorder glue: the observation half of internal/flight. Every
-// function in this file only *observes* — it reads the TCB and emits
-// journal records, and never calls enqueue/run/perform or the protected
-// Receive/Send/Resend modules. The quasisync analyzer machine-checks
-// that property for this file; the hook sites themselves live with the
-// executor in conn.go and the demux in tcp.go.
+// The flight journal's TCP vocabulary: what a journaled run (observe.go)
+// and its replay (replay.go) must agree on — the recorded Config, the
+// TCB projection whose deltas every end record carries, and the
+// rendering of an action's arguments.
 
 import (
-	"encoding/json"
 	"strconv"
 
 	"repro/internal/flight"
@@ -117,89 +114,6 @@ func (rc recordedConfig) config() Config {
 			ChecksumPerKB: sim.Duration(rc.ChecksumPerKB),
 		},
 	}
-}
-
-// recHdr writes the journal's run header. Called once at endpoint
-// assembly.
-func (t *TCP) recHdr() {
-	fr := t.cfg.Flight
-	if fr == nil {
-		return
-	}
-	cj, err := json.Marshal(t.journalConfig())
-	if err != nil {
-		return
-	}
-	fr.Hdr(t.net.LocalAddr().String(), t.net.MTU(), cj)
-}
-
-// recOpen records this connection's creation, attributed to whatever
-// cause is current (the user's open call, or the packet that hit the
-// listener).
-func (c *Conn) recOpen(origin string) {
-	fr := c.t.cfg.Flight
-	if fr == nil {
-		return
-	}
-	fr.OpenConn(int64(c.t.s.Now()), c.name, origin,
-		c.key.raddr.String(), c.key.rport, c.key.lport,
-		c.handler.Data == nil, c.listener != nil)
-}
-
-// recBeginUser records a user operation (write/read/close/abort) and
-// pushes it as the cause of every enqueue until recEndUser.
-func (c *Conn) recBeginUser(op string, n int) {
-	fr := c.t.cfg.Flight
-	if fr == nil {
-		return
-	}
-	q := fr.UserOp(int64(c.t.s.Now()), c.name, op, n)
-	fr.BeginUser(q)
-}
-
-// recEndUser pops the user-operation cause (nil-safe).
-func (c *Conn) recEndUser() {
-	c.t.cfg.Flight.EndCause()
-}
-
-// recUop records a user operation that causes no enqueues of its own
-// (WriteUrgent's urgent-pointer mark).
-func (c *Conn) recUop(op string, n int) {
-	if fr := c.t.cfg.Flight; fr != nil {
-		fr.UserOp(int64(c.t.s.Now()), c.name, op, n)
-	}
-}
-
-// recEnqueue journals one action entering the to_do queue and remembers
-// its sequence number so the drain can pair beg/end records to it.
-//
-//foxvet:hotpath
-func (c *Conn) recEnqueue(fr *flight.Recorder, a action) {
-	c.t.recArgs = appendActionArgs(c.t.recArgs[:0], a)
-	q := fr.Enqueue(int64(c.t.s.Now()), c.name, a.actionName(), c.t.recArgs)
-	c.recSeqs.Enqueue(q)
-}
-
-// recBeg journals the executor starting an action, snapshots the TCB,
-// and pushes the action as the current cause. Returns the action's
-// enqueue-record seq for recEnd.
-//
-//foxvet:hotpath
-func (c *Conn) recBeg(fr *flight.Recorder) uint64 {
-	eq, _ := c.recSeqs.Dequeue()
-	fr.Beg(int64(c.t.s.Now()), c.name, eq)
-	fr.BeginAct(eq)
-	return eq
-}
-
-// recEnd journals the action's completion with the changed-field TCB
-// delta and pops the action cause.
-//
-//foxvet:hotpath
-func (c *Conn) recEnd(fr *flight.Recorder, eq uint64, pre, post *tcbSnap) {
-	fr.EndCause()
-	c.t.recDelta = appendSnapDelta(c.t.recDelta[:0], pre, post)
-	fr.End(c.name, eq, c.t.recDelta)
 }
 
 // tcbSnap is the journaled projection of a TCB: the fields whose

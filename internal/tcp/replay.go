@@ -242,7 +242,7 @@ func ReplayJournal(recs []flight.Record) (*ReplayResult, error) {
 				div(i, rec.EqSeq, rec.Conn, "journal performs action #%d but the next recorded enqueue is #%d", rec.EqSeq, exp.seq)
 				continue
 			}
-			if name := a.actionName(); name != exp.action {
+			if name := actionName(a); name != exp.action {
 				div(i, rec.EqSeq, rec.Conn, "replayed machine queued %s where the journal recorded %s", name, exp.action)
 				continue
 			}

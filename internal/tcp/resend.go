@@ -1,12 +1,6 @@
 package tcp
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/sim"
-	"repro/internal/stats"
-)
+import "repro/internal/sim"
 
 // This file is the paper's Resend module: it "implement[s] the round-trip
 // time computations developed by Karn and Jacobson, and … remove[s]
@@ -92,8 +86,7 @@ func (c *Conn) rttSample(m sim.Duration) {
 	if tcb.rto > c.t.cfg.MaxRTO {
 		tcb.rto = c.t.cfg.MaxRTO
 	}
-	c.t.cfg.Metrics.RttUsec.Observe(uint64(tcb.srtt / time.Microsecond))
-	c.telRTT(m)
+	c.t.observeRTT(m, tcb.srtt)
 }
 
 // currentRTO applies the exponential backoff to the base RTO, capped at
@@ -121,8 +114,6 @@ func (c *Conn) resendTimeout() {
 	}
 	now := c.t.s.Now()
 	if sim.Duration(now-tcb.lastProgress) >= c.t.cfg.UserTimeout {
-		c.t.cfg.Trace.Printf("conn %v: user timeout after %d retransmits", c.key, tcb.backoff)
-		c.t.stats.ProgressTimeouts++
 		c.stateAbort(ErrProgressTimeout)
 		return
 	}
@@ -132,14 +123,7 @@ func (c *Conn) resendTimeout() {
 	}
 	front.rexmits++
 	front.sentAt = now
-	c.t.stats.Retransmits++
-	if c.t.cfg.Events != nil {
-		c.event(stats.EvRetransmit, fmt.Sprintf("timeout seq %d #%d", front.seq, front.rexmits))
-		if tcb.backoff > 1 {
-			c.event(stats.EvRTOBackoff, fmt.Sprintf("backoff %d rto %v", tcb.backoff, c.currentRTO()))
-		}
-	}
-	c.t.cfg.Trace.Printf("conn %v: rexmit #%d seq %d (rto %v)", c.key, front.rexmits, front.seq, c.currentRTO())
+	c.note(evRexmitTimeout, int64(front.seq), int64(c.currentRTO()))
 	c.enqueue(actSendSegment{seg: front})
 	c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 }
@@ -162,8 +146,7 @@ func (c *Conn) congestionLoss() {
 // data is in flight; the third in a row triggers a fast retransmit.
 func (c *Conn) dupAck() {
 	tcb := c.tcb
-	c.t.stats.DupAcksSeen++
-	tcb.dupAcksSeen++
+	c.note(evDupAck, 0, 0)
 	if !c.t.cfg.congestionControl() {
 		return
 	}
@@ -186,11 +169,7 @@ func (c *Conn) dupAck() {
 	c.congestionLoss()
 	front.rexmits++
 	front.sentAt = c.t.s.Now()
-	c.t.stats.Retransmits++
-	if c.t.cfg.Events != nil {
-		c.event(stats.EvRetransmit, fmt.Sprintf("fast seq %d", front.seq))
-	}
-	c.t.cfg.Trace.Printf("conn %v: fast retransmit seq %d", c.key, front.seq)
+	c.note(evFastRexmit, int64(front.seq), 0)
 	c.enqueue(actSendSegment{seg: front})
 	c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 }
@@ -207,8 +186,6 @@ func (c *Conn) persistTimeout() {
 	// partition, a crashed host) would be probed forever, pinning the
 	// connection's buffers and memory charges.
 	if sim.Duration(c.t.s.Now()-tcb.lastProgress) >= c.t.cfg.UserTimeout {
-		c.t.cfg.Trace.Printf("conn %v: user timeout after %d zero-window probes", c.key, tcb.backoff)
-		c.t.stats.ProgressTimeouts++
 		c.stateAbort(ErrProgressTimeout)
 		return
 	}
@@ -224,7 +201,6 @@ func (c *Conn) persistTimeout() {
 		c.t.memCharge(-1)
 		tcb.sndNxt++
 		tcb.rexmitQ.PushBack(probe)
-		c.t.cfg.Trace.Printf("conn %v: zero-window probe seq %d", c.key, probe.seq)
 		c.enqueue(actSendSegment{seg: probe})
 		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 	}

@@ -3,7 +3,6 @@ package tcp
 import (
 	"repro/internal/basis"
 	"repro/internal/profile"
-	"repro/internal/stats"
 )
 
 // This file is the paper's Send module: it "segments outgoing data and
@@ -35,7 +34,7 @@ func (c *Conn) sendModule() {
 				if wnd == 0 && flight == 0 && tcb.timer[timerPersist] == nil {
 					// Zero window with nothing in flight: arm the
 					// persist timer so a lost update cannot wedge us.
-					c.event(stats.EvZeroWindow, "persist timer armed")
+					c.note(evZeroWindow, 0, 0)
 					c.enqueue(actSetTimer{which: timerPersist, d: c.persistBackoff()})
 				}
 				break
@@ -105,8 +104,8 @@ func (c *Conn) sendData(n int) {
 	pkt := basis.AllocPacket(c.t.net.Headroom()+headerLen, c.t.net.Tailroom(), n)
 	tcb.queueTake(pkt.Bytes(), n)
 	c.t.memCharge(-n)
+	c.t.chargePerKB(c.t.cfg.DataPath.CopyPerKB, n)
 	cp.Stop()
-	c.chargeDataPath(profile.CatCopy, c.t.cfg.DataPath.CopyPerKB, n)
 
 	sg := &segment{
 		srcPort: c.key.lport, dstPort: c.key.rport,
@@ -138,8 +137,7 @@ func (c *Conn) sendData(n int) {
 		}
 	}
 	tcb.sndNxt += seq(n)
-	c.t.stats.BytesSent += uint64(n)
-	tcb.bytesOut += uint64(n)
+	c.note(evSegmentized, int64(n), 0)
 
 	// RTT timing: one sample in flight at a time (Karn's scheme).
 	if !c.timingInFlight() {

@@ -30,7 +30,6 @@ func (c *Conn) stateActiveOpen() {
 	c.enqueue(actSendSegment{seg: syn})
 	c.enqueue(actSetTimer{which: timerRexmit, d: tcb.rto})
 	c.enqueue(actSetTimer{which: timerUser, d: c.t.cfg.UserTimeout})
-	c.t.cfg.Trace.Printf("conn %v: active open, iss %d", c.key, iss)
 }
 
 // statePassiveSyn performs the LISTEN-state SYN processing: record the
@@ -68,7 +67,6 @@ func (c *Conn) statePassiveSyn(sg *segment) {
 	c.enqueue(actSendSegment{seg: synAck})
 	c.enqueue(actSetTimer{which: timerRexmit, d: tcb.rto})
 	c.enqueue(actSetTimer{which: timerUser, d: c.t.cfg.UserTimeout})
-	c.t.cfg.Trace.Printf("conn %v: passive open, iss %d irs %d", c.key, iss, tcb.irs)
 }
 
 // stateEstablish moves a synchronizing connection to ESTABLISHED and
@@ -87,7 +85,6 @@ func (c *Conn) stateEstablish() {
 	// deliverable now (and is queued behind Complete_Open, honoring the
 	// no-data-before-open-returns rule).
 	c.drainOutOfOrder()
-	c.t.cfg.Trace.Printf("conn %v: established", c.key)
 }
 
 // stateClose performs the user CLOSE call: in the synchronizing states it
@@ -118,7 +115,6 @@ func (c *Conn) stateFinSent() {
 	case StateCloseWait:
 		c.setState(StateLastAck)
 	}
-	c.t.cfg.Trace.Printf("conn %v: FIN sent, now %v", c.key, c.state)
 }
 
 // stateOurFinAcked records the transition when the peer acknowledges our
@@ -154,7 +150,6 @@ func (c *Conn) statePeerFin() {
 		// Retransmitted FIN: restart the 2MSL timer.
 		c.enqueue(actSetTimer{which: timerTimeWait, d: c.twoMSL()})
 	}
-	c.t.cfg.Trace.Printf("conn %v: peer FIN, now %v", c.key, c.state)
 }
 
 // enterTimeWait starts the 2×MSL quarantine.
@@ -169,6 +164,9 @@ func (c *Conn) enterTimeWait() {
 // stateAbort performs the user ABORT call (and internal aborts such as
 // the user timeout): RST to a synchronized peer, error to every waiter.
 func (c *Conn) stateAbort(err error) {
+	if err == ErrProgressTimeout {
+		c.note(evProgressTimeout, int64(c.tcb.backoff), 0)
+	}
 	switch c.state {
 	case StateSynActive, StateSynPassive, StateEstab,
 		StateFinWait1, StateFinWait2, StateCloseWait:

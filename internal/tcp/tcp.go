@@ -124,36 +124,36 @@ type Config struct {
 	// which otherwise under-reports the SML-vs-C code-generation gap.
 	DataPath DataPathCosts
 
-	Trace *basis.Tracer // val do_prints / do_traces
-	Prof  *profile.Profile
+	// The remaining fields attach observers. Every one is optional, all
+	// are fed from the one seam in observe.go, and none can change what
+	// the connection does: virtual results are bit-identical whichever
+	// are set.
 
-	// Metrics is the endpoint's RFC 2012-style counter group. fill
-	// allocates a detached group when none is supplied, so the increment
-	// sites are unconditional; installing the group into a stats.Registry
-	// is what makes it visible.
+	Trace *basis.Tracer    // val do_prints / do_traces
+	Prof  *profile.Profile // Table 2 sections
+
+	// Metrics and Harden are the endpoint's one counter set: the RFC
+	// 2012-style tcp group with the datapath counts, and the
+	// hostile-network group (challenge ACKs, SYN-queue evictions,
+	// memory-pressure moves, user-timeout aborts). New allocates a
+	// detached group when none is supplied; installing the groups into a
+	// stats.Registry is what makes them visible. Stats is a view over
+	// them.
 	Metrics *stats.TCPMIB
-	// Events, when non-nil, receives structured events (state
-	// transitions, retransmits, RTO backoff, zero-window, RST). Nil costs
-	// one branch per event site, like a disabled Tracer.
+	Harden  *stats.HardenMIB
+	// Events, when non-nil, receives typed events (state transitions,
+	// retransmits, RTO backoff, zero-window, RST).
 	Events *stats.EventRing
-	// Harden is the endpoint's hostile-network counter group
-	// (challenge ACKs, SYN-queue evictions, memory-pressure moves). fill
-	// allocates a detached group when none is supplied, like Metrics.
-	Harden *stats.HardenMIB
 	// Flight, when non-nil, journals every enqueued action with its
 	// cause and a per-drain TCB delta (internal/flight); cmd/foxreplay
-	// re-executes and audits the journal. Nil costs one nil check at
-	// each hook. Ignored under DirectDispatch — with the to_do queue
-	// bypassed there is no door to journal.
+	// re-executes and audits the journal. Ignored under DirectDispatch —
+	// with the to_do queue bypassed there is no door to journal.
 	Flight *flight.Recorder
 	// Telemetry, when non-nil, records hot-path latency histograms
 	// (segment RTT, enqueue→perform at the single door, user Read/Write
 	// completion), per-connection time-series rings, and the per-action
 	// executor profile (internal/telemetry); foxstat -serve exports it
-	// live. Pure observation with the flight recorder's discipline:
-	// nil costs one check per hook, and virtual results are
-	// bit-identical either way. Ignored under DirectDispatch — the
-	// door whose latency it measures does not exist there.
+	// live. Ignored under DirectDispatch, like Flight.
 	Telemetry *telemetry.Telemetry
 }
 
@@ -220,12 +220,6 @@ func (c *Config) fill() {
 	if c.ChallengeACKLimit == 0 {
 		c.ChallengeACKLimit = 100
 	}
-	if c.Metrics == nil {
-		c.Metrics = new(stats.TCPMIB)
-	}
-	if c.Harden == nil {
-		c.Harden = new(stats.HardenMIB)
-	}
 }
 
 func (c *Config) computeChecksums() bool  { return boolDefault(c.ComputeChecksums, true) }
@@ -259,7 +253,9 @@ var (
 	ErrNotEstab        = errors.New("tcp: connection not established")
 )
 
-// Stats counts endpoint-wide TCP activity.
+// Stats counts endpoint-wide TCP activity. It is a view over the
+// endpoint's counter set (Config.Metrics, Config.Harden), not a second
+// set.
 type Stats struct {
 	SegsSent      uint64
 	SegsReceived  uint64
@@ -337,28 +333,20 @@ type TCP struct {
 	conns     map[connKey]*Conn
 	listeners map[uint16]*Listener
 	ephemeral uint16
-	stats     Stats
 
 	// mem is the endpoint-wide buffered-byte account (mem.go).
 	mem memAccount
+	// obs is the observer seam's state (observe.go).
+	obs observer
 
 	// replay marks an endpoint reconstructed by ReplayJournal: timers
 	// install inert placeholders (expirations come from the journal).
 	replay bool
-	// recArgs/recDelta are the flight recorder's reused encode scratch
-	// (record.go); struct fields so the enabled path stays
-	// allocation-free in steady state.
-	recArgs  []byte
-	recDelta []byte
 }
 
 // New instantiates the TCP "functor" over net.
 func New(s *sim.Scheduler, net protocol.Network, cfg Config) *TCP {
 	cfg.fill()
-	if cfg.DirectDispatch {
-		cfg.Flight = nil
-		cfg.Telemetry = nil
-	}
 	t := &TCP{
 		s: s, net: net, cfg: cfg,
 		conns:     make(map[connKey]*Conn),
@@ -367,7 +355,7 @@ func New(s *sim.Scheduler, net protocol.Network, cfg Config) *TCP {
 	}
 	t.mem.limit = cfg.MemoryLimit
 	t.mem.pressureAt = cfg.MemoryLimit - cfg.MemoryLimit/4
-	t.recHdr()
+	t.observeInit()
 	net.Attach(t.handler)
 	return t
 }
@@ -377,9 +365,6 @@ func (t *TCP) Name() string { return "tcp" }
 
 // MTU reports the largest segment payload the lower layer carries.
 func (t *TCP) MTU() int { return t.net.MTU() - headerLen }
-
-// Stats returns a snapshot of the endpoint counters.
-func (t *TCP) Stats() Stats { return t.stats }
 
 // ActiveConns reports connections currently in the demux table (all
 // states except fully deleted); leak checks use it.
@@ -411,8 +396,6 @@ func (t *TCP) chooseISS() seq {
 //
 //foxvet:hotpath
 func (t *TCP) handler(src protocol.Address, pkt *basis.Packet) {
-	sec := t.cfg.Prof.Start(profile.CatTCP)
-	defer sec.Stop()
 	var pseudo uint16
 	verify := t.cfg.computeChecksums()
 	if verify {
@@ -421,37 +404,17 @@ func (t *TCP) handler(src protocol.Address, pkt *basis.Packet) {
 	cks := t.cfg.Prof.Start(profile.CatChecksum)
 	segLen := pkt.Len()
 	sg, err := unmarshal(pkt, pseudo, verify)
+	if verify {
+		t.chargePerKB(t.cfg.DataPath.ChecksumPerKB, segLen)
+	}
 	cks.Stop()
-	if verify && t.cfg.DataPath.ChecksumPerKB != 0 {
-		d := t.cfg.DataPath.ChecksumPerKB * sim.Duration(segLen) / 1024
-		csec := t.cfg.Prof.Start(profile.CatChecksum)
-		t.s.Charge(d)
-		csec.Stop()
-	}
-	// RFC 2012: InSegs counts all received segments, including errored
-	// ones; InErrs counts the errored subset.
-	t.cfg.Metrics.InSegs.Inc()
+	t.observeSegIn(src, sg, err)
 	if err != nil {
-		if err == errBadChecksum {
-			t.stats.BadChecksum++
-		} else {
-			t.stats.BadSegment++
-		}
-		t.cfg.Metrics.InErrs.Inc()
-		if t.cfg.Trace.On() {
-			t.cfg.Trace.Printf("rx dropped: %v", err)
-		}
 		return
-	}
-	t.stats.SegsReceived++
-	if t.cfg.Trace.On() {
-		t.cfg.Trace.Printf("rx %v %s", src, sg)
 	}
 
 	key := connKey{raddr: src, rport: sg.srcPort, lport: sg.dstPort}
-	// Everything from demux to drain is attributed to this arrival in
-	// the flight journal (nil-safe: disabled recording is a nil check).
-	t.cfg.Flight.BeginPkt(uint32(sg.seq), uint32(sg.ack), sg.flags, sg.wnd, sg.up, sg.mss, len(sg.data))
+	e := t.observeEnter(nil, enterPacket, 0, sg)
 	c, ok := t.conns[key]
 	if !ok {
 		c = t.dispatchUnknown(key, sg)
@@ -460,7 +423,7 @@ func (t *TCP) handler(src protocol.Address, pkt *basis.Packet) {
 		c.enqueue(actProcessData{seg: sg})
 		c.run()
 	}
-	t.cfg.Flight.EndCause()
+	t.observeLeave(e)
 }
 
 // dispatchUnknown handles a segment for which no connection exists:
@@ -475,7 +438,7 @@ func (t *TCP) dispatchUnknown(key connKey, sg *segment) *Conn {
 		// allocates only transiently.
 		if sg.has(flagSYN) && !sg.has(flagACK) {
 			if t.mem.state != memNormal {
-				t.cfg.Harden.SynDropsPressure.Inc()
+				t.note(evSynDropped, nil, 0, 0)
 				return nil
 			}
 			if len(l.halfOpen) >= t.cfg.MaxSynBacklog {
@@ -486,14 +449,13 @@ func (t *TCP) dispatchUnknown(key connKey, sg *segment) *Conn {
 		c.setState(StateListen)
 		t.conns[key] = c
 		c.handler = l.accept(c)
-		t.stats.ConnsAccepted++
 		if sg.has(flagSYN) && !sg.has(flagACK) {
 			l.join(c)
 		}
-		c.recOpen("passive")
+		t.observeAccept(c)
 		return c
 	}
-	t.stats.UnknownDest++
+	t.note(evNoConn, nil, 0, 0)
 	// RFC 793, SEGMENT ARRIVES, CLOSED state: everything except a
 	// reset provokes a reset, if we are configured to send one.
 	if sg.has(flagRST) || !t.cfg.abortUnknown() {
@@ -508,7 +470,6 @@ func (t *TCP) dispatchUnknown(key connKey, sg *segment) *Conn {
 		rst.seq = 0
 		rst.ack = sg.seq + seq(sg.seqLen())
 	}
-	t.stats.RSTSent++
 	t.emitRaw(key.raddr, rst)
 	return nil
 }
@@ -522,15 +483,7 @@ func (t *TCP) emitRaw(dst protocol.Address, sg *segment) {
 		pseudo = t.net.PseudoHeaderChecksum(dst, sg.headerBytes())
 	}
 	sg.marshal(pkt, pseudo, t.cfg.computeChecksums())
-	t.stats.SegsSent++
-	t.cfg.Metrics.OutSegs.Inc()
-	if sg.has(flagRST) {
-		t.cfg.Metrics.OutRsts.Inc()
-		if ev := t.cfg.Events; ev != nil {
-			ev.Add(int64(t.s.Now()), stats.EvRST, "", fmt.Sprintf("sent to %v (no connection)", dst))
-		}
-	}
-	t.cfg.Trace.Printf("tx %v %s", dst, sg)
+	t.observeSegOut(nil, dst, sg)
 	t.net.Send(dst, pkt)
 }
 
@@ -555,15 +508,9 @@ func (t *TCP) OpenFrom(remote protocol.Address, remotePort, localPort uint16, h 
 	c := newConn(t, key)
 	c.handler = h
 	t.conns[key] = c
-	t.stats.ConnsOpened++
-	c.recBeginUser("open", 0)
-	c.recOpen("active")
-
-	sec := t.cfg.Prof.Start(profile.CatTCP)
+	e := c.enter(enterOpen, 0)
 	c.stateActiveOpen()
-	c.run()
-	sec.Stop()
-	c.recEndUser()
+	c.leave(e)
 
 	for !c.openDone {
 		c.openCond.Wait()
