@@ -67,10 +67,14 @@ bench:
 # way: every workload for half a second with every metric printed, then
 # the determinism attestation — each workload twice untraced and once
 # behind the tracing shim must agree on every exact value and on the
-# delivery digest. For a comparison against another commit use
-# `go run ./bench -o a.json` on each and `go run ./bench -compare a.json b.json`.
+# delivery digest. The quick pass is also written to bench-quick.json (CI
+# uploads it): its counts — allocs_per_txn, alloc_KB_per_txn, every
+# tcp.*/wire.*/sim.* count, the virt_* values — are exact and the same on
+# any runner, so they can be read per commit; its wall numbers are not.
+# For a comparison against another commit use `go run ./bench -o a.json`
+# on each and `go run ./bench -compare a.json b.json`.
 perf:
-	$(GO) run ./bench -quick
+	$(GO) run ./bench -quick -o bench-quick.json
 	$(GO) run ./bench -verify
 
 # chaos runs the deterministic soaks under the race detector: the

@@ -117,6 +117,20 @@ func (p *Packet) TrimTo(n int) bool {
 	return true
 }
 
+// Reset re-views the packet over size payload bytes starting headroom
+// bytes into its backing store, as AllocPacket laid it out, without
+// touching the bytes. An owner that kept the packet across a Send — the
+// layers below pushed their headers and extended their trailers over it —
+// uses it to transmit the same payload again, or to reuse the storage for
+// another. It panics if the store is too small.
+func (p *Packet) Reset(headroom, size int) {
+	if headroom < 0 || size < 0 || headroom+size > len(p.buf) {
+		panic(fmt.Sprintf("basis.Packet.Reset(%d, %d): backing store is %d bytes", headroom, size, len(p.buf)))
+	}
+	p.off = headroom
+	p.end = headroom + size
+}
+
 // Clone returns a deep copy of the packet, preserving remaining headroom
 // and tailroom. The simulated device boundary uses it to model the one
 // copy the paper attributes to the Mach kernel.

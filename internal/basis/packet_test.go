@@ -167,3 +167,38 @@ func TestPacketPropertyPushPullIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Reset re-views the same storage: after the layers below have pushed
+// headers and extended trailers over a packet, its owner gets the payload
+// view back with the bytes untouched, and can lay a different payload
+// size over the same store.
+func TestPacketResetReviewsInPlace(t *testing.T) {
+	p := AllocPacket(8, 6, 5)
+	copy(p.Bytes(), "hello")
+	copy(p.Push(8), "HDRHDRHD")
+	copy(p.Extend(4), "TAIL")
+	if p.Headroom() != 0 || p.Tailroom() != 2 {
+		t.Fatalf("after push/extend: headroom=%d tailroom=%d", p.Headroom(), p.Tailroom())
+	}
+	p.Reset(8, 5)
+	if string(p.Bytes()) != "hello" || p.Headroom() != 8 || p.Tailroom() != 6 {
+		t.Fatalf("Reset(8,5): %q headroom=%d tailroom=%d", p.Bytes(), p.Headroom(), p.Tailroom())
+	}
+	p.Reset(8, 2) // a shorter payload over the same store: old bytes stay behind the view
+	if string(p.Bytes()) != "he" || p.Tailroom() != 9 {
+		t.Fatalf("Reset(8,2): %q tailroom=%d", p.Bytes(), p.Tailroom())
+	}
+	if got := p.Extend(3); string(got) != "llo" {
+		t.Fatalf("bytes past a shortened view = %q; Reset must not clear", got)
+	}
+}
+
+func TestPacketResetPanicsBeyondStore(t *testing.T) {
+	p := AllocPacket(4, 4, 8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset past the backing store did not panic")
+		}
+	}()
+	p.Reset(4, 13)
+}

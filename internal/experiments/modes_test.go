@@ -81,20 +81,29 @@ func TestThroughputScalesWithWindow(t *testing.T) {
 }
 
 func TestBaselineBeatsOrMatchesStructuredUnderCharging(t *testing.T) {
-	// The Table 1 direction must hold on average; individual runs are
-	// noisy, so compare the best of three.
-	best := func(impl Impl) float64 {
-		b := 0.0
-		for i := 0; i < 3; i++ {
-			if r := Throughput(impl, charged()); r.ThroughputMbps > b {
-				b = r.ThroughputMbps
-			}
-		}
-		return b
+	// Table 1's direction — the x-kernel baseline at least matches Fox
+	// Net — is a statement about 1994: it rests on SML/NJ's code
+	// generation (the 5× CPU factor) and the two stacks' measured
+	// data-touching costs, not on structure. So it is asserted in the
+	// full-1994 mode that models both (DESIGN.md §3), where the gap is
+	// several-fold and wall-clock charging noise cannot turn it.
+	//
+	// This used to compare the two with both knobs off and fail when
+	// Fox Net came out more than 1.3× ahead. With one modern compiler
+	// under both stacks that ratio only measures which implementation
+	// spends fewer host cycles per segment, so it capped internal/tcp's
+	// speed: making the send path cheaper made the test flaky. Runs are
+	// interleaved and the best of three taken so that a slow phase of
+	// the machine falls on both sides.
+	o := charged()
+	o.SMLEra, o.SMLFactor = true, 5
+	var fox, xk float64
+	for i := 0; i < 3; i++ {
+		fox = max(fox, Throughput(Structured, o).ThroughputMbps)
+		xk = max(xk, Throughput(XKernelBaseline, o).ThroughputMbps)
 	}
-	fox, xk := best(Structured), best(XKernelBaseline)
-	if fox > xk*1.3 {
-		t.Fatalf("structured (%0.2f Mb/s) dramatically beat the baseline (%0.2f Mb/s)", fox, xk)
+	if fox > xk {
+		t.Fatalf("full-1994 mode: structured (%0.2f Mb/s) beat the baseline (%0.2f Mb/s); Table 1 has it the other way", fox, xk)
 	}
 }
 

@@ -34,8 +34,10 @@ const (
 // Resolver turns a next-hop IP address into a link address; internal/arp
 // implements it. The indirection keeps ip free of a dependency on the
 // resolution protocol, as the paper keeps TCP free of IP specifics via
-// IP_AUX.
+// IP_AUX. Lookup answers from the cache alone; Resolve calls ready now on
+// a hit, or later — after a request/reply exchange — on a miss.
 type Resolver interface {
+	Lookup(next Addr) (mac ethernet.Addr, ok bool)
 	Resolve(next Addr, ready func(mac ethernet.Addr, ok bool))
 }
 
@@ -162,7 +164,9 @@ var ErrTooLarge = errors.New("ip: datagram exceeds 65535 bytes")
 // Send transmits pkt to dst under protocol proto, fragmenting if the
 // payload exceeds the link MTU. The packet needs Headroom bytes in front.
 // Delivery is best-effort: next-hop resolution happens asynchronously and
-// resolution failure silently drops, as datagram semantics allow.
+// resolution failure silently drops, as datagram semantics allow. pkt is
+// borrowed (protocol.Network.Send): when resolution defers the send, what
+// waits is a copy.
 func (p *IP) Send(dst Addr, proto byte, pkt *basis.Packet) error {
 	sec := p.cfg.Prof.Start(profile.CatIP)
 	defer sec.Stop()
@@ -250,6 +254,15 @@ func (p *IP) sendOne(dst Addr, proto byte, id uint16, fragOff8 int, moreFrags bo
 		}
 		next = p.cfg.Gateway
 	}
+	if mac, ok := p.resolver.Lookup(next); ok {
+		p.eth.Send(mac, ethernet.TypeIPv4, pkt)
+		return
+	}
+	// The caller gets pkt back when Send returns and may rewrite it — TCP
+	// retransmits in place and recycles — while resolution takes a round
+	// trip or more. Cache entries age out, so this is not only the first
+	// packet of a run.
+	held := pkt.Clone() //foxvet:boundary-copy deferred send: Send only borrows pkt, so a datagram waiting on ARP resolution waits in its own buffer
 	p.resolver.Resolve(next, func(mac ethernet.Addr, ok bool) {
 		if !ok {
 			p.stats.ResolveFailures++
@@ -257,7 +270,7 @@ func (p *IP) sendOne(dst Addr, proto byte, id uint16, fragOff8 int, moreFrags bo
 			p.cfg.Trace.Printf("cannot resolve %s, dropped", next)
 			return
 		}
-		p.eth.Send(mac, ethernet.TypeIPv4, pkt)
+		p.eth.Send(mac, ethernet.TypeIPv4, held)
 	})
 }
 

@@ -70,6 +70,36 @@ func TestDatagramDeliveryWithARPResolution(t *testing.T) {
 	})
 }
 
+// Send borrows the packet: once it returns the caller may rewrite or
+// reuse it, even though on an ARP miss the datagram has not left yet. The
+// same packet is sent twice with different contents while resolution is
+// pending; both datagrams must arrive as they were when sent.
+func TestSendBorrowsPacketAcrossARPMiss(t *testing.T) {
+	runIPNet(t, 2, wire.Config{}, func(s *sim.Scheduler, h []*testHost) {
+		var got []string
+		h[1].IP.Register(200, func(src, dst ip.Addr, pkt *basis.Packet) {
+			got = append(got, string(pkt.Bytes()))
+		})
+		pkt := payload([]byte("first datagram"))
+		if err := h[0].IP.Send(ip.HostAddr(2), 200, pkt); err != nil {
+			t.Fatal(err)
+		}
+		pkt.Reset(ip.Headroom, len("first datagram"))
+		copy(pkt.Bytes(), "second, reused")
+		if err := h[0].IP.Send(ip.HostAddr(2), 200, pkt); err != nil {
+			t.Fatal(err)
+		}
+		pkt.Reset(0, pkt.Len()+pkt.Headroom()+pkt.Tailroom())
+		for i, b := 0, pkt.Bytes(); i < len(b); i++ {
+			b[i] = 0xA5
+		}
+		s.Sleep(100 * time.Millisecond)
+		if len(got) != 2 || got[0] != "first datagram" || got[1] != "second, reused" {
+			t.Fatalf("delivered %q, want both datagrams as sent", got)
+		}
+	})
+}
+
 func TestSecondSendUsesARPCache(t *testing.T) {
 	runIPNet(t, 2, wire.Config{}, func(s *sim.Scheduler, h []*testHost) {
 		count := 0

@@ -41,7 +41,15 @@ type Network interface {
 	Attach(h Handler)
 
 	// Send transmits pkt to dst. pkt must have been allocated with at
-	// least Headroom bytes of headroom and TailRoom bytes of tailroom.
+	// least Headroom bytes of headroom and Tailroom bytes of tailroom.
+	//
+	// Send borrows pkt: the layers below write their headers and
+	// trailers into its head- and tailroom, and none may keep a reference
+	// to it or to its bytes after Send returns. A layer that must defer
+	// transmission (ip, while ARP resolves the next hop) keeps a copy.
+	// The caller owns the packet again on return — its payload bytes
+	// untouched, its view wherever the lower layers left it — and may
+	// reuse it at once; TCP retransmits from it in place and recycles it.
 	Send(dst Address, pkt *basis.Packet) error
 
 	// MTU is the largest packet Send accepts without fragmentation at

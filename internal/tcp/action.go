@@ -3,7 +3,6 @@ package tcp
 import (
 	"time"
 
-	"repro/internal/basis"
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/timers"
@@ -97,16 +96,17 @@ func (c *Conn) keepaliveExpired() {
 		srcPort: c.key.lport, dstPort: c.key.rport,
 		seq: tcb.sndNxt - 1, flags: flagACK,
 	}
-	c.enqueue(actSendSegment{seg: probe})
+	c.queueSend(probe)
 	c.enqueue(actSetTimer{which: timerKeepalive, d: c.t.cfg.KeepaliveIdle})
 }
 
-// emit externalizes one segment: allocate the packet (unless the Send
-// module already built one around the payload), write the header in
-// place, checksum, and hand it to the lower layer.
+// emit externalizes one segment: view its packet over the payload (a
+// data segment's own packet, on a retransmission exactly as on the first
+// transmission; the endpoint's scratch packet for a payload-less one),
+// write the header in place, checksum, and lend it to the lower layer.
 //
 //foxvet:hotpath
-func (c *Conn) emit(sg *segment, pkt *basis.Packet) {
+func (c *Conn) emit(sg *segment) {
 	tcb := c.tcb
 	// Outgoing segments always carry the freshest window — shrunk under
 	// endpoint memory pressure — and, when synchronized, the freshest ack.
@@ -115,10 +115,13 @@ func (c *Conn) emit(sg *segment, pkt *basis.Packet) {
 		sg.ack = tcb.rcvNxt
 		tcb.lastAdvWnd = uint32(sg.wnd)
 	}
-	if pkt == nil {
-		cp := c.t.cfg.Prof.Start(profile.CatCopy)
-		pkt = basis.NewPacket(c.t.net.Headroom()+sg.headerBytes(), c.t.net.Tailroom(), sg.data) //foxvet:boundary-copy retransmission: the original packet left with the device, so the wire image is rebuilt from the retained segment (charged to CatCopy)
-		cp.Stop()
+	pkt := sg.pkt
+	if pkt != nil {
+		// The layers below pushed their headers and trailers over the
+		// packet last time; the payload under them has not moved.
+		pkt.Reset(c.t.pool.headroom(), len(sg.data))
+	} else {
+		pkt = c.t.pool.scratch()
 	}
 	compute := c.t.cfg.computeChecksums()
 	var pseudo uint16
@@ -139,6 +142,8 @@ func (c *Conn) emit(sg *segment, pkt *basis.Packet) {
 	}
 	c.t.observeSegOut(c, c.key.raddr, sg)
 	c.t.net.Send(c.key.raddr, pkt)
+	sg.sends--
+	c.t.recycle(sg)
 }
 
 // chargePerKB charges the calibrated per-KB cost (Config.DataPath) for

@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"repro/internal/basis"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -24,13 +23,13 @@ type actProcessData struct {
 }
 
 // actSendSegment carries a fully-formed outgoing segment to the Action
-// module for externalization (the paper's Send_Segment). pkt, when
-// non-nil, is a packet the Send module already copied the payload into —
-// the single copy of the send path; when nil (control segments and
-// retransmissions) the Action module allocates one.
+// module for externalization (the paper's Send_Segment). A data segment
+// brings the packet the Send module copied its payload into — the single
+// copy of the send path — on its first transmission and on every later
+// one; a payload-less segment goes out through the endpoint's scratch
+// packet. Enqueue it with Conn.queueSend, which counts it on the segment.
 type actSendSegment struct {
 	seg *segment
-	pkt *basis.Packet
 }
 
 // actUserData delivers in-sequence data to the user (the paper's

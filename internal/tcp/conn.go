@@ -198,7 +198,7 @@ func (c *Conn) perform(a action) {
 	case actProcessData:
 		c.receiveSegment(a.seg)
 	case actSendSegment:
-		c.emit(a.seg, a.pkt)
+		c.emit(a.seg)
 	case actUserData:
 		c.note(evDelivered, int64(len(a.data)), 0)
 		if c.handler.Data != nil {
@@ -268,7 +268,8 @@ func (c *Conn) failConnection(err error) {
 }
 
 // deleteTCB clears timers, removes the connection from the demux map,
-// and returns every byte it charged to the endpoint memory account.
+// returns every byte it charged to the endpoint memory account, and
+// gives the unacknowledged segments' packets back to the free list.
 func (c *Conn) deleteTCB() {
 	if c.deleted {
 		return
@@ -287,6 +288,16 @@ func (c *Conn) deleteTCB() {
 	// receive buffer itself stays readable — Read drains delivered data
 	// even after teardown — but it no longer counts against the account.
 	tcb := c.tcb
+	// The TCB outlives the connection (Stats reads it), so whatever stays
+	// on rexmitQ stays reachable for as long as the user holds the Conn.
+	for {
+		sg, ok := tcb.rexmitQ.PopFront()
+		if !ok {
+			break
+		}
+		sg.retired = true
+		c.t.recycle(sg)
+	}
 	if tcb.queuedBytes > 0 {
 		c.t.memCharge(-tcb.queuedBytes)
 		tcb.queued.Clear()
@@ -320,9 +331,13 @@ func (c *Conn) leave(e entry) {
 }
 
 // Write queues data for transmission, blocking the calling thread while
-// the send buffer is full. The implementation references data's bytes
-// only until they are segmentized (copied once into a packet); callers
-// must not mutate the slice before Write returns.
+// the send buffer is full. It does not copy: the connection keeps
+// referring to data's bytes until they are segmentized — copied, once,
+// into a packet — which happens when the window next admits them and can
+// be after Write returns (up to SendBufferLimit bytes wait behind a
+// closed window). Nothing tells the caller when that has happened short
+// of Close returning, so hand Write a slice you will not write to again
+// while the connection lives.
 func (c *Conn) Write(data []byte) error {
 	if len(data) == 0 {
 		return nil

@@ -25,3 +25,14 @@ func MemUsed(t *TCP) int { return t.mem.used }
 
 // HalfOpenCount reports a listener's current half-open table size.
 func HalfOpenCount(l *Listener) int { return len(l.halfOpen) }
+
+// RexmitQueued reports how many segments a connection's retransmission
+// queue holds.
+func RexmitQueued(c *Conn) int { return c.tcb.rexmitQ.Len() }
+
+// PoolFree reports how many retired data segments the endpoint's free
+// list holds.
+func PoolFree(t *TCP) int { return len(t.pool.free) }
+
+// SndUna reports the oldest unacknowledged sequence number.
+func SndUna(c *Conn) uint32 { return uint32(c.tcb.sndUna) }

@@ -42,11 +42,17 @@ func buildPair(s *sim.Scheduler, seg *wire.Segment, cfg tcp.Config) (a, b tcpHos
 // runPair is the standard two-host test harness.
 func runPair(t *testing.T, wcfg wire.Config, cfg tcp.Config, body func(s *sim.Scheduler, a, b tcpHost)) {
 	t.Helper()
+	runPairOn(t, wcfg, cfg, func(s *sim.Scheduler, _ *wire.Segment, a, b tcpHost) { body(s, a, b) })
+}
+
+// runPairOn is runPair for tests that also work the cable (taps, faults).
+func runPairOn(t *testing.T, wcfg wire.Config, cfg tcp.Config, body func(s *sim.Scheduler, seg *wire.Segment, a, b tcpHost)) {
+	t.Helper()
 	s := sim.New(sim.Config{})
 	s.Run(func() {
 		seg := wire.NewSegment(s, wcfg, nil)
 		a, b := buildPair(s, seg, cfg)
-		body(s, a, b)
+		body(s, seg, a, b)
 	})
 }
 

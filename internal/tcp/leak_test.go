@@ -87,7 +87,10 @@ func TestReassemblyQueueRetainsNothing(t *testing.T) {
 }
 
 // TestAbortedConnectionsReclaimed: aborts and refusals must also clean
-// the table.
+// the table — and an abort with data in flight must let go of it. The TCB
+// outlives the connection (Stats reads it), so segments left on the
+// retransmission queue would stay pinned for as long as the user holds
+// the Conn; deleteTCB hands them back to the endpoint's free list.
 func TestAbortedConnectionsReclaimed(t *testing.T) {
 	runPair(t, wire.Config{}, tcp.Config{}, func(s *sim.Scheduler, a, b tcpHost) {
 		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler { return tcp.Handler{} })
@@ -96,7 +99,20 @@ func TestAbortedConnectionsReclaimed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := conn.Write(make([]byte, 1000)); err != nil {
+				t.Fatal(err)
+			}
+			unacked, free := tcp.RexmitQueued(conn), tcp.PoolFree(a.TCP)
+			if unacked == 0 {
+				t.Fatalf("cycle %d: nothing in flight at the abort; the test no longer tests teardown", i)
+			}
 			conn.Abort()
+			if n := tcp.RexmitQueued(conn); n != 0 {
+				t.Fatalf("cycle %d: aborted connection still holds %d unacknowledged segments", i, n)
+			}
+			if got := tcp.PoolFree(a.TCP); got != free+unacked {
+				t.Fatalf("cycle %d: free list %d -> %d across an abort with %d segments in flight", i, free, got, unacked)
+			}
 		}
 		for i := 0; i < 5; i++ {
 			a.TCP.Open(b.A, 9999, tcp.Handler{}) // refused

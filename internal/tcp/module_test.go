@@ -22,11 +22,14 @@ type fakeAddr string
 
 func (f fakeAddr) String() string { return string(f) }
 
-// fakeNet is a protocol.Network that records every outgoing segment.
+// fakeNet is a protocol.Network that records every outgoing segment, or
+// with discard set only counts them (and so allocates nothing).
 type fakeNet struct {
-	local fakeAddr
-	h     protocol.Handler
-	sent  []*segment
+	local   fakeAddr
+	h       protocol.Handler
+	sent    []*segment
+	discard bool
+	frames  int
 }
 
 func (f *fakeNet) LocalAddr() protocol.Address { return f.local }
@@ -38,10 +41,16 @@ func (f *fakeNet) PseudoHeaderChecksum(dst protocol.Address, length int) uint16 
 	return 0
 }
 func (f *fakeNet) Send(dst protocol.Address, pkt *basis.Packet) error {
+	f.frames++
+	if f.discard {
+		return nil
+	}
 	sg, err := unmarshal(pkt, 0, false)
 	if err != nil {
 		panic(err)
 	}
+	// Send borrows pkt: what outlives the call must be copied out.
+	sg.data = append([]byte(nil), sg.data...)
 	f.sent = append(f.sent, sg)
 	return nil
 }

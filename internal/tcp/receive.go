@@ -142,7 +142,7 @@ func (c *Conn) rcvSynSent(sg *segment) {
 		seq: tcb.iss, ack: tcb.rcvNxt, flags: flagSYN | flagACK,
 		mss: c.t.localMSS(),
 	}
-	c.enqueue(actSendSegment{seg: synAck})
+	c.queueSend(synAck)
 }
 
 // rcvGeneral: "Otherwise" — the eight numbered steps of RFC 793 p. 69.

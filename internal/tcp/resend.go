@@ -25,6 +25,8 @@ func (c *Conn) ackAdvance(ack seq) {
 			c.rttSample(sim.Duration(now - front.sentAt))
 		}
 		tcb.rexmitQ.PopFront()
+		front.retired = true
+		c.t.recycle(front)
 	}
 	tcb.sndUna = ack
 	tcb.lastProgress = now
@@ -124,7 +126,7 @@ func (c *Conn) resendTimeout() {
 	front.rexmits++
 	front.sentAt = now
 	c.note(evRexmitTimeout, int64(front.seq), int64(c.currentRTO()))
-	c.enqueue(actSendSegment{seg: front})
+	c.queueSend(front)
 	c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 }
 
@@ -170,7 +172,7 @@ func (c *Conn) dupAck() {
 	front.rexmits++
 	front.sentAt = c.t.s.Now()
 	c.note(evFastRexmit, int64(front.seq), 0)
-	c.enqueue(actSendSegment{seg: front})
+	c.queueSend(front)
 	c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 }
 
@@ -190,18 +192,10 @@ func (c *Conn) persistTimeout() {
 		return
 	}
 	if tcb.queuedBytes > 0 && tcb.flightSize() == 0 {
-		probe := &segment{
-			srcPort: c.key.lport, dstPort: c.key.rport,
-			seq: tcb.sndNxt, flags: flagACK,
-			data:        make([]byte, 1),
-			sentAt:      c.t.s.Now(),
-			firstSentAt: c.t.s.Now(),
-		}
-		tcb.queueTake(probe.data, 1)
-		c.t.memCharge(-1)
+		probe := c.takeSegment(1, c.t.s.Now())
 		tcb.sndNxt++
 		tcb.rexmitQ.PushBack(probe)
-		c.enqueue(actSendSegment{seg: probe})
+		c.queueSend(probe)
 		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 	}
 	tcb.backoff++

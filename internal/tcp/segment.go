@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/basis"
 	"repro/internal/checksum"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -30,7 +31,8 @@ const (
 // segment is the internal form of one TCP segment — what the Action
 // module's internalize produces from wire bytes and externalize consumes
 // to produce wire bytes. The trailing bookkeeping fields serve the Resend
-// module when the segment sits on the retransmission queue.
+// module when the segment sits on the retransmission queue, and the
+// endpoint's free list (segPool) when it leaves it.
 type segment struct {
 	srcPort uint16
 	dstPort uint16
@@ -47,6 +49,19 @@ type segment struct {
 	firstSentAt sim.Time
 	rexmits     int
 	timed       bool // this transmission is the RTT measurement sample
+
+	// A data segment the Send module built owns the packet its payload
+	// lives in: data aliases pkt's payload region for the segment's whole
+	// life, every transmission re-views pkt over it and re-marshals in
+	// place, and the pair returns to the endpoint's free list together.
+	// nil for received segments and payload-less control segments.
+	pkt *basis.Packet
+	// The segment may be recycled only when nothing can reach it: it has
+	// left rexmitQ — acknowledged, or its connection torn down — (retired)
+	// and no Send_Segment action naming it is still on to_do (sends == 0).
+	// See TCP.recycle.
+	sends   int
+	retired bool
 }
 
 // seqLen is the sequence-space length: data plus one for SYN and FIN.
@@ -121,6 +136,125 @@ func (sg *segment) marshal(pkt *basis.Packet, pseudo uint16, compute bool) {
 		acc.AddUint16(pseudo)
 		acc.Add(pkt.Bytes())
 		binary.BigEndian.PutUint16(h[16:18], acc.Checksum())
+	}
+}
+
+// segPoolCap bounds an endpoint's free list of retired data segments. A
+// 64 KB window is 45 MSS-sized segments in flight, so one bulk
+// connection cycles entirely inside it; beyond the bound a retired
+// segment is left to the collector, so an endpoint pins at most
+// segPoolCap MTU-sized buffers (~100 KB over Ethernet).
+const segPoolCap = 64
+
+// poisonByte is what the race build fills a retired buffer with.
+const poisonByte = 0xA5
+
+// segPool is an endpoint's send-side packet memory: a LIFO free list of
+// retired data segments, each with the MTU-sized packet that held its
+// payload, and the one scratch packet every payload-less segment goes
+// out through. A buffer is allocated when the list is empty and then
+// cycles sendData → emit (any number of times, in place) → ackAdvance →
+// free list for as long as the endpoint lives. Every packet is laid out
+// from what the lower layer reserves: its headroom plus our header, a
+// payload of up to its MTU less our header, its tailroom.
+//
+// Three rules make the reuse safe:
+//
+//   - protocol.Network.Send borrows the packet: no layer below keeps it
+//     after Send returns (wire copies at the device boundary; ip clones
+//     when ARP resolution defers the send).
+//   - Only unreachable segments are recycled — see TCP.recycle.
+//   - Recycled buffers are not zeroed, so every frame is fully written:
+//     payload by queueTake, headers by each layer's Push, padding by
+//     ethernet.Send's zero-fill. Under the race build tag put poisons
+//     the buffer so a violation of either other rule is loud.
+type segPool struct {
+	net  protocol.Network
+	free []*segment // len ≤ cap == segPoolCap, never reallocated
+	ctl  *basis.Packet
+}
+
+// optRoom is header room for the only option we send (MSS, on SYNs).
+const optRoom = 4
+
+func (p *segPool) init(net protocol.Network) {
+	p.net = net
+	p.free = make([]*segment, 0, segPoolCap)
+	p.ctl = basis.AllocPacket(net.Headroom()+headerLen+optRoom, net.Tailroom(), 0)
+}
+
+// headroom is where a pooled packet's payload starts.
+func (p *segPool) headroom() int { return p.net.Headroom() + headerLen }
+
+// get returns a data segment whose data field views n writable payload
+// bytes inside its own packet, every other field zero.
+//
+//foxvet:hotpath
+func (p *segPool) get(n int) *segment {
+	if n < 0 {
+		n = 0 // callers pass n > 0; stated here so the sizes below prove non-negative
+	}
+	h, size := p.headroom(), p.net.MTU()-headerLen
+	if k := len(p.free); k > 0 && n <= size {
+		k--
+		sg := p.free[k]
+		p.free[k] = nil
+		p.free = p.free[:k]
+		pkt := sg.pkt
+		pkt.Reset(h, n)
+		*sg = segment{pkt: pkt, data: pkt.Bytes()}
+		return sg
+	}
+	// Empty list, or (only when the peer announced no MSS over a link
+	// smaller than RFC 1122's default) a payload no pooled packet holds.
+	if size < n {
+		size = n
+	}
+	pkt := basis.AllocPacket(h, p.net.Tailroom(), size)
+	pkt.Reset(h, n)
+	return &segment{pkt: pkt, data: pkt.Bytes()}
+}
+
+// put retires a segment and its packet to the free list, or to the
+// collector when the list is full.
+//
+//foxvet:hotpath
+func (p *segPool) put(sg *segment) {
+	k := len(p.free)
+	if k == cap(p.free) {
+		return
+	}
+	if poisonRecycled {
+		sg.pkt.Reset(0, p.net.Headroom()+p.net.MTU()+p.net.Tailroom())
+		b := sg.pkt.Bytes()
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	p.free = p.free[:k+1]
+	p.free[k] = sg
+}
+
+// scratch returns the endpoint's control packet viewed over an empty
+// payload, ready for marshal. It is valid until the next call: Send
+// borrows, so by the time another segment needs it the last one is on
+// the wire.
+func (p *segPool) scratch() *basis.Packet {
+	p.ctl.Reset(p.headroom()+optRoom, 0)
+	return p.ctl
+}
+
+// recycle returns sg to the free list if nothing can reach it any more:
+// it is off rexmitQ and no queued Send_Segment names it. ackAdvance and
+// deleteTCB call it as a segment leaves the queue, emit after each
+// transmission; whichever comes last retires the segment. The second
+// condition matters because a retransmission can sit on to_do behind the
+// very ACK that covers it (the timer or third duplicate ACK was queued
+// first), and the Maybe_Send that ACK triggers would otherwise take the
+// buffer — LIFO — and refill it before the stale Send_Segment runs.
+func (t *TCP) recycle(sg *segment) {
+	if sg.pkt != nil && sg.retired && sg.sends == 0 {
+		t.pool.put(sg)
 	}
 }
 

@@ -1,8 +1,8 @@
 package tcp
 
 import (
-	"repro/internal/basis"
 	"repro/internal/profile"
+	"repro/internal/sim"
 )
 
 // This file is the paper's Send module: it "segments outgoing data and
@@ -88,7 +88,8 @@ func (c *Conn) sendModule() {
 
 // sendData emits one data segment of n bytes from the send queue. The
 // payload is copied exactly once, from the user's queued buffers into
-// the packet the segment will travel in.
+// the packet the segment will travel in — a packet from the endpoint's
+// free list, which the segment keeps until it is acknowledged.
 //
 //foxvet:hotpath
 func (c *Conn) sendData(n int) {
@@ -101,19 +102,10 @@ func (c *Conn) sendData(n int) {
 	now := c.t.s.Now()
 
 	cp := c.t.cfg.Prof.Start(profile.CatCopy)
-	pkt := basis.AllocPacket(c.t.net.Headroom()+headerLen, c.t.net.Tailroom(), n)
-	tcb.queueTake(pkt.Bytes(), n)
-	c.t.memCharge(-n)
+	sg := c.takeSegment(n, now)
 	c.t.chargePerKB(c.t.cfg.DataPath.CopyPerKB, n)
 	cp.Stop()
 
-	sg := &segment{
-		srcPort: c.key.lport, dstPort: c.key.rport,
-		seq: tcb.sndNxt, flags: flagACK,
-		data:        pkt.Bytes(),
-		sentAt:      now,
-		firstSentAt: now,
-	}
 	if tcb.queuedBytes == 0 {
 		sg.flags |= flagPSH
 	}
@@ -147,9 +139,31 @@ func (c *Conn) sendData(n int) {
 	if tcb.timer[timerRexmit] == nil {
 		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 	}
-	c.enqueue(actSendSegment{seg: sg, pkt: pkt})
+	c.queueSend(sg)
 	// Queue space freed: wake writers blocked on the send buffer.
 	c.bufCond.Broadcast()
+}
+
+// takeSegment moves the next n bytes of the send queue into a data
+// segment at snd_nxt, in a packet from the endpoint's free list — the
+// send path's single copy. The caller advances snd_nxt and queues it.
+//
+//foxvet:hotpath
+func (c *Conn) takeSegment(n int, now sim.Time) *segment {
+	sg := c.t.pool.get(n)
+	sg.srcPort, sg.dstPort = c.key.lport, c.key.rport
+	sg.seq, sg.flags = c.tcb.sndNxt, flagACK
+	sg.sentAt, sg.firstSentAt = now, now
+	c.tcb.queueTake(sg.data, n)
+	c.t.memCharge(-n)
+	return sg
+}
+
+// queueSend places a Send_Segment action for sg on to_do, counting it on
+// the segment so the free list knows a transmission is still owed.
+func (c *Conn) queueSend(sg *segment) {
+	sg.sends++
+	c.enqueue(actSendSegment{seg: sg})
 }
 
 // sendFin emits our FIN and performs the associated state transition.
@@ -169,7 +183,7 @@ func (c *Conn) sendFin() {
 		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 	}
 	c.stateFinSent()
-	c.enqueue(actSendSegment{seg: sg})
+	c.queueSend(sg)
 }
 
 // sendPureAck emits an empty ACK segment. The acknowledgment debt is
@@ -181,7 +195,7 @@ func (c *Conn) sendPureAck() {
 		srcPort: c.key.lport, dstPort: c.key.rport,
 		seq: c.tcb.sndNxt, flags: flagACK,
 	}
-	c.enqueue(actSendSegment{seg: sg})
+	c.queueSend(sg)
 }
 
 // clearAckDebt marks any pending acknowledgment as satisfied.

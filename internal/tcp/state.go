@@ -27,7 +27,7 @@ func (c *Conn) stateActiveOpen() {
 		sentAt: now, firstSentAt: now, timed: true,
 	}
 	tcb.rexmitQ.PushBack(syn)
-	c.enqueue(actSendSegment{seg: syn})
+	c.queueSend(syn)
 	c.enqueue(actSetTimer{which: timerRexmit, d: tcb.rto})
 	c.enqueue(actSetTimer{which: timerUser, d: c.t.cfg.UserTimeout})
 }
@@ -64,7 +64,7 @@ func (c *Conn) statePassiveSyn(sg *segment) {
 		sentAt: now, firstSentAt: now, timed: true,
 	}
 	tcb.rexmitQ.PushBack(synAck)
-	c.enqueue(actSendSegment{seg: synAck})
+	c.queueSend(synAck)
 	c.enqueue(actSetTimer{which: timerRexmit, d: tcb.rto})
 	c.enqueue(actSetTimer{which: timerUser, d: c.t.cfg.UserTimeout})
 }
@@ -174,7 +174,7 @@ func (c *Conn) stateAbort(err error) {
 			srcPort: c.key.lport, dstPort: c.key.rport,
 			seq: c.tcb.sndNxt, flags: flagRST | flagACK, ack: c.tcb.rcvNxt,
 		}
-		c.enqueue(actSendSegment{seg: rst})
+		c.queueSend(rst)
 	}
 	c.enqueue(actUserError{err: err})
 }

@@ -338,6 +338,8 @@ type TCP struct {
 	mem memAccount
 	// obs is the observer seam's state (observe.go).
 	obs observer
+	// pool is the send side's packet memory (segment.go).
+	pool segPool
 
 	// replay marks an endpoint reconstructed by ReplayJournal: timers
 	// install inert placeholders (expirations come from the journal).
@@ -355,6 +357,7 @@ func New(s *sim.Scheduler, net protocol.Network, cfg Config) *TCP {
 	}
 	t.mem.limit = cfg.MemoryLimit
 	t.mem.pressureAt = cfg.MemoryLimit - cfg.MemoryLimit/4
+	t.pool.init(net)
 	t.observeInit()
 	net.Attach(t.handler)
 	return t
@@ -477,7 +480,7 @@ func (t *TCP) dispatchUnknown(key connKey, sg *segment) *Conn {
 // emitRaw externalizes a segment outside any connection (CLOSED-state
 // resets).
 func (t *TCP) emitRaw(dst protocol.Address, sg *segment) {
-	pkt := basis.AllocPacket(t.net.Headroom()+sg.headerBytes(), t.net.Tailroom(), 0)
+	pkt := t.pool.scratch()
 	pseudo := uint16(0)
 	if t.cfg.computeChecksums() {
 		pseudo = t.net.PseudoHeaderChecksum(dst, sg.headerBytes())
