@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint foxvet foxvet-json foxvet-baseline statemachine-dot sessiontype-dot copyflow-dot bench perf chaos audit telemetry fmt
+.PHONY: build test check lint foxvet foxvet-json foxvet-baseline statemachine-dot sessiontype-dot copyflow-dot bench perf perf-gate chaos audit telemetry fmt
 
 build:
 	$(GO) build ./...
@@ -75,7 +75,20 @@ bench:
 # on each and `go run ./bench -compare a.json b.json`.
 perf:
 	$(GO) run ./bench -quick -o bench-quick.json
+	$(MAKE) perf-gate
 	$(GO) run ./bench -verify
+
+# perf-gate reads the quick pass and fails if a thread was forked per
+# segment on a clean persistent-connection workload. The scheduler runs
+# the timers' coroutines itself, so sim.forks_per_seg is exactly 0 there
+# (an exact count, the same on any runner); anything above it means some
+# per-segment path went back to forking a goroutine.
+perf-gate:
+	@awk '/"workload":/ { w = $$2 } \
+	  /"sim.forks_per_seg":/ && w ~ /"(rr_1b|bulk_w4k|bulk_w64k)"/ { seen++; \
+	    if ($$2 + 0 > 0) { print "perf-gate: sim.forks_per_seg = " $$2 + 0 " on " w; bad = 1 } } \
+	  END { if (seen != 3) { print "perf-gate: bench-quick.json reports sim.forks_per_seg for " seen + 0 " of 3 workloads"; exit 1 } \
+	    exit bad }' bench-quick.json
 
 # chaos runs the deterministic soaks under the race detector: the
 # adversary soak (SYN floods, spoofed RFC 5961 probes, gap bombs, junk

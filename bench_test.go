@@ -232,36 +232,50 @@ func BenchmarkScheduler(b *testing.B) {
 
 // --- E-timer: Fig. 11 ------------------------------------------------------
 
-// BenchmarkTimer reproduces the Fig. 11 timer facility costs: start+clear
-// (the common case on the segment path) and start+expire.
+// BenchmarkTimer measures the timer facility's two cycles — start+clear
+// (the common case on the segment path) and start+expire — for the
+// stack's timers, whose forked thread the scheduler runs itself, and for
+// Fig. 11 as printed, a goroutine per start: the ablation.
 func BenchmarkTimer(b *testing.B) {
-	b.Run("StartClear", func(b *testing.B) {
-		s := sim.New(sim.Config{})
-		s.Run(func() {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := timers.Start(s, func() {}, time.Hour)
-				t.Clear()
-				if i%1024 == 0 {
-					s.Sleep(2 * time.Hour) // drain cleared timer threads
+	for _, impl := range []struct {
+		name  string
+		start func(s *sim.Scheduler, handler func(), d time.Duration) any
+		clear func(timer any)
+	}{
+		{"", func(s *sim.Scheduler, h func(), d time.Duration) any { return timers.Start(s, h, d) },
+			func(t any) { t.(*timers.Timer).Clear() }},
+		{"Fig11", func(s *sim.Scheduler, h func(), d time.Duration) any { return timers.Fig11(s, h, d) },
+			func(t any) { *t.(*bool) = true }},
+	} {
+		b.Run("StartClear"+impl.name, func(b *testing.B) {
+			s := sim.New(sim.Config{})
+			s.Run(func() {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					impl.clear(impl.start(s, func() {}, time.Hour))
+					if i%1024 == 0 {
+						s.Sleep(2 * time.Hour) // drain cleared timers
+					}
 				}
-			}
+			})
 		})
-	})
-	b.Run("StartExpire", func(b *testing.B) {
-		s := sim.New(sim.Config{})
-		s.Run(func() {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fired := false
-				timers.Start(s, func() { fired = true }, time.Microsecond)
-				s.Sleep(2 * time.Microsecond)
-				if !fired {
-					b.Fatal("timer did not fire")
+		b.Run("StartExpire"+impl.name, func(b *testing.B) {
+			s := sim.New(sim.Config{})
+			s.Run(func() {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fired := false
+					impl.start(s, func() { fired = true }, time.Microsecond)
+					s.Sleep(2 * time.Microsecond)
+					if !fired {
+						b.Fatal("timer did not fire")
+					}
 				}
-			}
+			})
 		})
-	})
+	}
 }
 
 // --- E-ctr: §5's counter cost ----------------------------------------------

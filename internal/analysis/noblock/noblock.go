@@ -56,6 +56,8 @@ func registrar(fn *types.Func) (label string, ok bool) {
 		return "coroutine body (sim." + fn.Name() + ")", true
 	case pkgName == "timers" && fn.Name() == "Start":
 		return "timer callback (timers.Start)", true
+	case pkgName == "sim" && fn.Name() == "Bind":
+		return "timer callback (sim.Timer.Bind)", true
 	case fn.Name() == "Attach":
 		return "wire delivery handler (Attach)", true
 	case fn.Name() == "SetHandler":

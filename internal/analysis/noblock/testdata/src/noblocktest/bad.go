@@ -17,6 +17,7 @@ type handlers struct {
 }
 
 type server struct {
+	tm    sim.Timer
 	mu    sync.Mutex
 	count atomic.Int64
 	ch    chan int
@@ -54,6 +55,11 @@ func bad(s *sim.Scheduler, sv *server) {
 	sv.Attach(func() {
 		sv.open()
 	})
+	// A callback bound to an owned timer is a root wherever it is armed.
+	sv.tm.Bind(s, func() {
+		time.Sleep(time.Second) // want "time.Sleep parks the OS thread"
+	})
+	sv.tm.Arm(5)
 	sv.SetHandler(handlers{Data: sv.onData})
 }
 

@@ -22,6 +22,9 @@ func good(s *sim.Scheduler, sv *server) {
 		c.Wait() // sim.Cond parks inside the scheduler
 	})
 	timers.Start(nil, sv.tick, 5)
+	var tm sim.Timer
+	tm.Bind(s, sv.tick)
+	tm.Arm(5)
 }
 
 func (sv *server) tick() { sv.count.Add(1) }

@@ -19,6 +19,13 @@ func (s *Scheduler) Sleep(d Duration) {}
 
 func (s *Scheduler) Yield() {}
 
+// Timer is the owned, re-armed timer: Bind registers its callback once.
+type Timer struct{ handler func() }
+
+func (t *Timer) Bind(s *Scheduler, handler func()) { t.handler = handler }
+
+func (t *Timer) Arm(d Duration) {}
+
 type Cond struct{}
 
 func NewCond(s *Scheduler) *Cond { return &Cond{} }

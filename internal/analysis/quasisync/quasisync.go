@@ -90,9 +90,15 @@ var allowedPackages = map[string]bool{
 // point, returning a label for diagnostics and which arguments carry the
 // asynchronously-invoked callbacks.
 func registrar(fn *types.Func) (label string, ok bool) {
+	pkgName := ""
+	if fn.Pkg() != nil {
+		pkgName = fn.Pkg().Name()
+	}
 	switch {
-	case fn.Name() == "Start" && fn.Pkg() != nil && fn.Pkg().Name() == "timers":
+	case pkgName == "timers" && fn.Name() == "Start":
 		return "timer callback (timers.Start)", true
+	case pkgName == "sim" && fn.Name() == "Bind":
+		return "timer callback (sim.Timer.Bind)", true
 	case fn.Name() == "Attach":
 		return "wire delivery handler (Attach)", true
 	}

@@ -1,6 +1,9 @@
 package quasisync
 
-import "timers"
+import (
+	"sim"
+	"timers"
+)
 
 type network struct{ h func(src string) }
 
@@ -41,6 +44,20 @@ func wire(c *Conn, n *network) {
 
 	// Violation through a registered method value.
 	timers.Start(nil, c.badTimeout, 5)
+
+	// The owned, re-armed form: the handler is bound once, so Bind is the
+	// registration point and Arm carries no code.
+	var ok, bad [2]sim.Timer
+	for i := range ok {
+		ok[i].Bind(nil, func() {
+			c.enqueue(action(i))
+			c.run()
+		})
+		bad[i].Bind(nil, func() {
+			c.sendModule() // want "calls sendModule, declared in send.go"
+		})
+		bad[i].Arm(5)
+	}
 
 	n.Attach(c.handler)    // approved
 	n.Attach(c.badHandler) // violation reported at the call site in badHandler

@@ -122,3 +122,44 @@ func TestHeapPropertyMinInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Track keeps every element's index current through pushes, pops and
+// removals from the middle, and Remove leaves a valid heap behind.
+func TestHeapTrackAndRemove(t *testing.T) {
+	type item struct{ key, pos int }
+	h := NewHeap[*item](func(a, b *item) bool { return a.key < b.key })
+	h.Track(func(v *item, i int) { v.pos = i })
+	r := NewRand(7)
+	var in []*item
+	for step := 0; step < 5000; step++ {
+		if len(in) == 0 || r.Intn(3) > 0 {
+			it := &item{key: r.Intn(100), pos: -2}
+			h.Push(it)
+			in = append(in, it)
+		} else {
+			k := r.Intn(len(in))
+			it := in[k]
+			in = append(in[:k], in[k+1:]...)
+			h.Remove(it.pos)
+			if it.pos != -1 {
+				t.Fatalf("removed element left with pos %d", it.pos)
+			}
+		}
+		for _, it := range in {
+			if h.items[it.pos] != it {
+				t.Fatalf("step %d: element with key %d tracked at %d, which holds another", step, it.key, it.pos)
+			}
+		}
+	}
+	if h.Len() != len(in) {
+		t.Fatalf("Len = %d, want %d", h.Len(), len(in))
+	}
+	last := -1
+	for !h.Empty() {
+		it, _ := h.Pop()
+		if it.key < last || it.pos != -1 {
+			t.Fatalf("popped key %d after %d (pos %d)", it.key, last, it.pos)
+		}
+		last = it.key
+	}
+}

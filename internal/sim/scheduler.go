@@ -9,7 +9,10 @@
 // thread is a goroutine, but a channel-handoff protocol guarantees that
 // exactly one of them executes at any moment and that control moves only
 // at explicit scheduler calls (Fork, Yield, Sleep, condition waits). No
-// code in this repository takes a lock.
+// code in this repository takes a lock. A goroutine does not fork in the
+// unit time the paper's continuations do, so the one coroutine forked per
+// segment — Fig. 11's timer — is run by the scheduler itself (Timer) and
+// becomes a goroutine only if it expires uncleared.
 //
 // Time is virtual. The clock advances when a thread sleeps past the last
 // runnable instant, when a caller charges an explicit cost (Charge), and —
@@ -74,10 +77,11 @@ type Thread struct {
 	seq       uint64
 	state     threadState
 	resume    chan struct{}
-	sched     *Scheduler
 	startReal time.Time // when this thread last received the CPU
 	factor    float64   // per-thread CPU charge multiplier (inherited)
 	killed    bool      // set by shutdown before the kill resume
+
+	prev, next *Thread // see Scheduler.threads
 }
 
 // Name returns the thread's diagnostic name.
@@ -90,10 +94,25 @@ func (killedError) Error() string { return "sim: thread killed by scheduler shut
 
 var errKilled = killedError{}
 
+// sleeper is one place in the sleep heap: a thread, or the timer whose
+// stand-in went to sleep.
 type sleeper struct {
 	wake Time
 	seq  uint64
 	t    *Thread
+	tm   *Timer
+}
+
+// ready is one place in the run queue: a thread, or the stand-in for the
+// thread Fig. 11 forks for tm. prio and seq are the thread's, or those
+// the forked thread would have; a stand-in whose gen is no longer tm's
+// was cleared or re-armed after it was queued and is void.
+type ready struct {
+	t    *Thread
+	tm   *Timer
+	prio int
+	seq  uint64
+	gen  uint32
 }
 
 // Config parameterizes a Scheduler.
@@ -126,23 +145,24 @@ type Config struct {
 type Scheduler struct {
 	cfg      Config
 	now      Time
-	readyQ   basis.FIFO[*Thread]
-	readyPQ  *basis.Heap[*Thread]
+	readyQ   basis.FIFO[ready]
+	readyPQ  *basis.Heap[ready]
 	sleepers *basis.Heap[sleeper]
 	current  *Thread
 	seq      uint64
-	live     int // threads not dead (including current)
 	blocked  int
-	sleeping int
-	threads  []*Thread // every forked thread, for serialized shutdown
-	main     *Thread
-	unwound  chan struct{}
-	stopped  bool
-	fatal    any // panic value carried from a worker thread to Run
+	// threads is the sentinel of a ring (prev/next) of the forked threads
+	// that have not exited, in creation order, for serialized shutdown:
+	// it holds what is parked, not what ever ran.
+	threads Thread
+	main    *Thread
+	unwound chan struct{}
+	stopped bool
+	fatal   any // panic value carried from a worker thread to Run
 
 	switches   uint64 // context-switch count, for the E-sched experiment
-	forks      uint64
-	timerFires uint64 // expired (uncleared) timers, noted by the timers layer
+	forks      uint64 // threads created; a timer is one only once it expires
+	timerFires uint64 // timer handlers run
 	readyHW    int    // run-queue length high-water mark
 
 	// unwinding tracks forked goroutines so shutdown can wait for every
@@ -167,8 +187,14 @@ func New(cfg Config) *Scheduler {
 		}),
 		unwound: make(chan struct{}),
 	}
+	s.threads.prev, s.threads.next = &s.threads, &s.threads
+	s.sleepers.Track(func(sl sleeper, i int) {
+		if sl.tm != nil {
+			sl.tm.pos = i + 1
+		}
+	})
 	if cfg.Priority {
-		s.readyPQ = basis.NewHeap[*Thread](func(a, b *Thread) bool {
+		s.readyPQ = basis.NewHeap[ready](func(a, b ready) bool {
 			if a.prio != b.prio {
 				return a.prio < b.prio
 			}
@@ -213,11 +239,6 @@ func (s *Scheduler) Switches() uint64 { return s.switches }
 
 // Forks reports how many threads have been created.
 func (s *Scheduler) Forks() uint64 { return s.forks }
-
-// NoteTimerFire records one timer expiration whose handler actually ran.
-// The timers layer calls it; the scheduler itself has no timer concept
-// beyond Sleep.
-func (s *Scheduler) NoteTimerFire() { s.timerFires++ }
 
 // TimerFires reports how many timer handlers have run.
 func (s *Scheduler) TimerFires() uint64 { return s.timerFires }
@@ -278,10 +299,9 @@ func (s *Scheduler) Run(fn func()) {
 	if s.current != nil || s.stopped {
 		panic("sim: Run called twice or on a stopped scheduler")
 	}
-	main := &Thread{name: "main", resume: make(chan struct{}, 1), sched: s, state: stateRunning, seq: s.nextSeq()}
+	main := &Thread{name: "main", resume: make(chan struct{}, 1), state: stateRunning, seq: s.nextSeq()}
 	s.current = main
 	s.main = main
-	s.live = 1
 	main.startReal = time.Now()
 
 	func() {
@@ -312,17 +332,17 @@ func (s *Scheduler) Fork(name string, fn func()) *Thread {
 // first when the scheduler was configured with Priority.
 func (s *Scheduler) ForkPrio(name string, prio int, fn func()) *Thread {
 	s.ensureRunnable("Fork")
-	t := &Thread{name: name, prio: prio, resume: make(chan struct{}, 1), sched: s, state: stateReady, seq: s.nextSeq()}
-	if s.current != nil {
-		t.factor = s.current.factor
-	}
-	s.live++
+	return s.fork(name, prio, s.nextSeq(), s.current.factor, fn)
+}
+
+func (s *Scheduler) fork(name string, prio int, seq uint64, factor float64, fn func()) *Thread {
+	t := &Thread{name: name, prio: prio, resume: make(chan struct{}, 1), state: stateReady, seq: seq, factor: factor}
 	s.forks++
 	s.Charge(s.cfg.ForkCost)
-	s.threads = append(s.threads, t)
+	s.track(t)
 	s.unwinding.Add(1)
 	go s.threadBody(t, fn)
-	s.pushReady(t)
+	s.pushThread(t)
 	return t
 }
 
@@ -344,7 +364,7 @@ func (s *Scheduler) threadBody(t *Thread, fn func()) {
 			// Carry the panic to Run: record it and hand the CPU onward.
 			s.fatal = r
 			t.state = stateDead
-			s.live--
+			s.untrack(t)
 			s.dispatchNextOrFinish(t)
 		}
 	}()
@@ -371,7 +391,7 @@ func (s *Scheduler) Yield() {
 	cur := s.current
 	s.syncClock()
 	cur.state = stateReady
-	s.pushReady(cur)
+	s.pushThread(cur)
 	s.reschedule(cur)
 }
 
@@ -386,7 +406,6 @@ func (s *Scheduler) Sleep(d Duration) {
 	cur := s.current
 	s.syncClock()
 	cur.state = stateSleeping
-	s.sleeping++
 	s.sleepers.Push(sleeper{wake: s.now + Time(d), seq: s.nextSeq(), t: cur})
 	s.reschedule(cur)
 }
@@ -410,15 +429,27 @@ func (s *Scheduler) unblock(t *Thread) {
 	s.blocked--
 	t.state = stateReady
 	t.seq = s.nextSeq()
-	s.pushReady(t)
+	s.pushThread(t)
 }
 
 // exit terminates the calling thread, dispatching the next runnable one.
 func (s *Scheduler) exit(t *Thread) {
 	s.syncClock()
 	t.state = stateDead
-	s.live--
+	s.untrack(t)
 	s.dispatchNextOrFinish(t)
+}
+
+// track appends a forked thread to the shutdown ring; untrack unlinks an
+// exiting one, leaving the survivors in creation order.
+func (s *Scheduler) track(t *Thread) {
+	t.prev, t.next = s.threads.prev, &s.threads
+	t.prev.next, s.threads.prev = t, t
+}
+
+func (s *Scheduler) untrack(t *Thread) {
+	t.prev.next, t.next.prev = t.next, t.prev
+	t.prev, t.next = nil, nil
 }
 
 // reschedule hands the CPU from cur (already re-queued, asleep, or
@@ -437,12 +468,8 @@ func (s *Scheduler) reschedule(cur *Thread) {
 }
 
 // dispatchNextOrFinish is reschedule for a dying thread: it never parks.
-// If nothing remains runnable it wakes Run's main thread if possible, or
-// declares the run finished.
+// After a panic it hands the CPU straight back to Run's main thread.
 func (s *Scheduler) dispatchNextOrFinish(t *Thread) {
-	if s.live == 0 {
-		return // the main thread was the last one; Run unwinds normally
-	}
 	if s.fatal != nil {
 		// Carry control back to main so Run can re-panic; the remaining
 		// threads are killed one at a time by shutdown afterwards.
@@ -460,11 +487,24 @@ func (s *Scheduler) dispatchNextOrFinish(t *Thread) {
 }
 
 // next picks the next thread to run, advancing the virtual clock over idle
-// gaps. It panics with a thread dump on total deadlock.
+// gaps and running the timers' stand-ins on the way (see Timer). It panics
+// with a thread dump on total deadlock.
 func (s *Scheduler) next() *Thread {
 	for {
-		if t, ok := s.popReady(); ok {
-			return t
+		if r, ok := s.popReady(); ok {
+			if r.t != nil {
+				return r.t
+			}
+			// The forked thread's first run: sleep d, or for d ≤ 0
+			// yield — once more round the run queue, then the handler.
+			if tm := r.tm; r.gen != tm.gen {
+				// void: dropped without a switch
+			} else if tm.d <= 0 {
+				s.expire(tm)
+			} else {
+				s.sleepers.Push(sleeper{wake: s.now + Time(tm.d), seq: s.nextSeq(), tm: tm})
+			}
+			continue
 		}
 		if s.sleepers.Empty() {
 			panic(s.deadlockReport())
@@ -472,41 +512,42 @@ func (s *Scheduler) next() *Thread {
 		// Jump the clock to the earliest wake time and release every
 		// sleeper due at that instant, in FIFO seq order (the heap
 		// tiebreak guarantees it).
-		first, _ := s.sleepers.Pop()
-		if first.wake > s.now {
+		if first, _ := s.sleepers.Min(); first.wake > s.now {
 			s.now = first.wake
 		}
-		s.sleeping--
-		first.t.state = stateReady
-		s.pushReady(first.t)
 		for {
-			peek, ok := s.sleepers.Min()
-			if !ok || peek.wake > s.now {
+			due, ok := s.sleepers.Min()
+			if !ok || due.wake > s.now {
 				break
 			}
 			s.sleepers.Pop()
-			s.sleeping--
-			peek.t.state = stateReady
-			s.pushReady(peek.t)
+			if due.tm != nil {
+				s.expire(due.tm)
+			} else {
+				due.t.state = stateReady
+				s.pushThread(due.t)
+			}
 		}
 	}
 }
 
-func (s *Scheduler) pushReady(t *Thread) {
+func (s *Scheduler) pushThread(t *Thread) { s.pushReady(ready{t: t, prio: t.prio, seq: t.seq}) }
+
+func (s *Scheduler) pushReady(r ready) {
 	if s.readyPQ != nil {
-		s.readyPQ.Push(t)
+		s.readyPQ.Push(r)
 		if n := s.readyPQ.Len(); n > s.readyHW {
 			s.readyHW = n
 		}
 		return
 	}
-	s.readyQ.Enqueue(t)
+	s.readyQ.Enqueue(r)
 	if n := s.readyQ.Len(); n > s.readyHW {
 		s.readyHW = n
 	}
 }
 
-func (s *Scheduler) popReady() (*Thread, bool) {
+func (s *Scheduler) popReady() (ready, bool) {
 	if s.readyPQ != nil {
 		return s.readyPQ.Pop()
 	}
@@ -535,10 +576,7 @@ func (s *Scheduler) ensureRunnable(op string) {
 func (s *Scheduler) shutdown() {
 	s.stopped = true
 	s.current = nil
-	for _, t := range s.threads {
-		if t.state == stateDead {
-			continue
-		}
+	for t := s.threads.next; t != &s.threads; t = t.next {
 		t.killed = true
 		t.resume <- struct{}{}
 		<-s.unwound

@@ -387,3 +387,59 @@ func TestStampFormatsVirtualTime(t *testing.T) {
 		}
 	})
 }
+
+// tracked counts the threads on the scheduler's shutdown list.
+func (s *Scheduler) tracked() int {
+	n := 0
+	for t := s.threads.next; t != &s.threads; t = t.next {
+		n++
+	}
+	return n
+}
+
+// A thread leaves the shutdown list when it exits, so a run that forks
+// a thread per connection or per expired timer holds only what is parked. The survivors
+// stay in creation order: shutdown unwinds them oldest first, one at a
+// time, exactly as it did when the list kept every thread ever forked.
+func TestExitedThreadsAreNotRetained(t *testing.T) {
+	s := det()
+	var unwound []int
+	running := 0
+	park := func(id int) {
+		s.Fork("parked", func() {
+			defer func() {
+				running++
+				if running != 1 {
+					t.Errorf("thread %d unwinds while another is still unwinding", id)
+				}
+				unwound = append(unwound, id)
+				running--
+			}()
+			for {
+				s.Sleep(time.Hour)
+			}
+		})
+	}
+	s.Run(func() {
+		park(0)
+		s.Yield()
+		base := s.tracked()
+		for i := 0; i < 100_000; i++ {
+			s.Fork("short", func() {})
+			if i == 50_000 {
+				park(1)
+			}
+			if i%1000 == 999 {
+				s.Yield() // the short threads run and exit
+			}
+		}
+		park(2)
+		s.Yield()
+		if got, want := s.tracked(), base+2; got != want {
+			t.Fatalf("%d threads tracked after 10^5 exits, want %d (the parked ones)", got, want)
+		}
+	})
+	if len(unwound) != 3 || unwound[0] != 0 || unwound[1] != 1 || unwound[2] != 2 {
+		t.Fatalf("shutdown unwound %v, want [0 1 2] (creation order)", unwound)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/timers"
 )
 
 // This file is the paper's Action module: "the time-dependent operations
@@ -16,29 +15,32 @@ import (
 // enqueues a Timer_Expiration action and drains the queue — the
 // asynchronous half of the quasi-synchronous structure.
 func (c *Conn) setTimer(which timerID, d sim.Duration) {
-	if old := c.tcb.timer[which]; old != nil {
-		old.Clear()
-	}
+	c.tcb.timerSet[which] = true
 	c.tcb.armed[which] = true
-	if c.t.replay {
-		// Replayed endpoints never fire timers themselves — expirations
-		// come from the journal. An inert placeholder keeps the slot's
-		// nil-ness evolving exactly as it did live.
-		c.tcb.timer[which] = &timers.Timer{}
-		return
+	// Replayed endpoints never fire timers themselves — expirations come
+	// from the journal — but the flags evolve exactly as they did live.
+	if !c.t.replay {
+		c.tcb.timer[which].Arm(d)
 	}
-	c.tcb.timer[which] = timers.Start(c.t.s, func() {
-		e := c.enter(enterTimer, int(which))
-		c.enqueue(actTimerExpired{which: which})
-		c.leave(e)
-	}, d)
+}
+
+// bindTimers gives each of the connection's timers its expiration.
+func (c *Conn) bindTimers() {
+	for i := range c.tcb.timer {
+		which := timerID(i)
+		c.tcb.timer[i].Bind(c.t.s, func() {
+			e := c.enter(enterTimer, int(which))
+			c.enqueue(actTimerExpired{which: which})
+			c.leave(e)
+		})
+	}
 }
 
 // clearTimer cancels a timer if it is set.
 func (c *Conn) clearTimer(which timerID) {
-	if t := c.tcb.timer[which]; t != nil {
-		t.Clear()
-		c.tcb.timer[which] = nil
+	if c.tcb.timerSet[which] {
+		c.tcb.timer[which].Clear()
+		c.tcb.timerSet[which] = false
 		c.tcb.armed[which] = false
 	}
 }
@@ -83,7 +85,7 @@ func (c *Conn) keepaliveExpired() {
 	idle := sim.Duration(c.t.s.Now() - tcb.lastRecv)
 	if idle < c.t.cfg.KeepaliveIdle {
 		// Heard from the peer since the timer was set: re-arm for the
-		// remainder rather than forking per segment.
+		// remainder rather than restarting the timer on every segment.
 		c.enqueue(actSetTimer{which: timerKeepalive, d: c.t.cfg.KeepaliveIdle - idle})
 		return
 	}

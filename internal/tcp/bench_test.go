@@ -73,7 +73,8 @@ func BenchmarkReceiveSegment(b *testing.B) {
 // action queue: segmentize and emit one MSS of queued data (the
 // single-copy send path), then take the acknowledgment that retires the
 // segment to the free list. The lower layer discards, so what is counted
-// is the stack's own.
+// is the stack's own: 1 alloc/op (16 B), the boxed Set_Timer action of
+// the re-arm — 7 (432 B) when the arm forked Fig. 11's thread.
 func BenchmarkSendSegment(b *testing.B) {
 	s := sim.New(sim.Config{})
 	s.Run(func() {
@@ -91,9 +92,7 @@ func BenchmarkSendSegment(b *testing.B) {
 			c.enqueue(actProcessData{seg: ack})
 			c.run()
 			if i%1024 == 1023 {
-				b.StopTimer()
-				s.Sleep(time.Second) // drain cleared timer threads
-				b.StartTimer()
+				s.Yield() // the cleared timers' stand-ins leave the run queue
 			}
 		}
 	})

@@ -59,6 +59,7 @@ func newConn(t *TCP, key connKey) *Conn {
 	c.closeCond = sim.NewCond(t.s)
 	c.bufCond = sim.NewCond(t.s)
 	c.readCond = sim.NewCond(t.s)
+	c.bindTimers()
 	t.observeAttach(c)
 	return c
 }

@@ -528,3 +528,38 @@ func TestTraceOutputMentionsSegments(t *testing.T) {
 		}
 	}
 }
+
+// Fig. 11 forks a thread per timer start and the sender starts one per
+// segment; with the scheduler running the timers' coroutines itself, a
+// steady transfer over a clean wire — every retransmission timer cleared
+// by its ACK, every second segment acknowledged at once — creates no
+// thread at all.
+func TestSteadyStateForksNothing(t *testing.T) {
+	runPair(t, wire.Config{}, tcp.Config{}, func(s *sim.Scheduler, a, b tcpHost) {
+		var rc collector
+		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler { return rc.handler() })
+		conn, err := a.TCP.Open(b.A, 80, tcp.Handler{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const segs = 400
+		data := make([]byte, segs*1460)
+		conn.Write(data[:2*1460]) // past the handshake's own timers
+		s.Sleep(time.Second)
+		forks, out := s.Forks(), a.TCP.Stats().SegsSent
+		conn.Write(data)
+		s.Sleep(100 * time.Millisecond) // drained, and short of any timer still armed
+		if rc.buf.Len() != len(data)+2*1460 {
+			t.Fatalf("received %d bytes", rc.buf.Len())
+		}
+		if got := a.TCP.Stats().SegsSent - out; got < segs {
+			t.Fatalf("sender emitted %d segments, want at least %d", got, segs)
+		}
+		if got := s.Forks() - forks; got != 0 {
+			t.Fatalf("%d threads forked over %d segments, want 0", got, segs)
+		}
+		if a.TCP.Stats().Retransmits != 0 {
+			t.Fatalf("retransmits on a clean wire: %d", a.TCP.Stats().Retransmits)
+		}
+	})
+}

@@ -120,7 +120,7 @@ func TestReceiveInOrderDataAdvancesRcvNxt(t *testing.T) {
 		if len(fn.take()) != 0 {
 			t.Fatal("ACK sent immediately despite delayed-ack policy")
 		}
-		if c.tcb.timer[timerDelayedAck] == nil {
+		if !c.tcb.timerSet[timerDelayedAck] {
 			t.Fatal("delayed-ack timer not armed")
 		}
 	})
@@ -498,7 +498,7 @@ func TestZeroWindowArmsPersist(t *testing.T) {
 		c.tcb.queuePush(make([]byte, 100))
 		c.enqueue(actMaybeSend{})
 		c.run()
-		if c.tcb.timer[timerPersist] == nil {
+		if !c.tcb.timerSet[timerPersist] {
 			t.Fatal("persist timer not armed on zero window")
 		}
 	})

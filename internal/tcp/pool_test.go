@@ -140,17 +140,14 @@ func TestSegPoolBounded(t *testing.T) {
 
 // Dynamic twin of the //foxvet:hotpath markers on the send path. The
 // cycles below go through the real door, so they do (re)arm the
-// retransmission timer, and a Set_Timer allocates: the boxed two-word
-// action and the timer itself (ROADMAP 2a, not this PR). The endpoint
-// runs with replay's inert timers, so that cost is two fixed allocations
-// and no forked thread — a live timer's goroutine makes the runtime's own
-// allocations show up in the count — and it is measured alone first; each
-// cycle must then cost exactly its Set_Timers and nothing for a packet or
-// a segment.
+// retransmission timer — live: the connection's own timer is re-armed in
+// place and forks nothing — and a Set_Timer allocates its boxed two-word
+// action and nothing else. That cost is measured alone first; each cycle
+// must then cost exactly its Set_Timers and nothing for a packet or a
+// segment.
 func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 	inSim(t, func(s *sim.Scheduler) {
 		ep, c, fn := harness(s, StateEstab, Config{})
-		ep.replay = true
 		fn.discard = true
 		data := fill('d', 1000)
 		ack := &segment{srcPort: 80, dstPort: 4000, seq: 5001, flags: flagACK, wnd: 4096}
@@ -167,6 +164,9 @@ func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 			c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 			c.run()
 		})
+		if setTimer > 1 {
+			t.Errorf("a Set_Timer allocates %.0f times, want at most its boxed action", setTimer)
+		}
 
 		// Steady state: Write → sendData → emit, then the oldest segment
 		// is acknowledged → ackAdvance → free list. One Set_Timer (the
@@ -223,6 +223,9 @@ func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 		}
 		if ep.Stats().Retransmits != 2*201 {
 			t.Fatalf("Retransmits = %d, want one per RTO and fast-retransmit run", ep.Stats().Retransmits)
+		}
+		if s.Forks() != 0 {
+			t.Fatalf("Forks = %d: arming a timer created a thread", s.Forks())
 		}
 	})
 }

@@ -31,7 +31,7 @@ func (c *Conn) sendModule() {
 			wnd := tcb.sendWindow(c.t.cfg.congestionControl())
 			flight := tcb.flightSize()
 			if flight >= wnd {
-				if wnd == 0 && flight == 0 && tcb.timer[timerPersist] == nil {
+				if wnd == 0 && flight == 0 && !tcb.timerSet[timerPersist] {
 					// Zero window with nothing in flight: arm the
 					// persist timer so a lost update cannot wedge us.
 					c.note(evZeroWindow, 0, 0)
@@ -80,7 +80,7 @@ func (c *Conn) sendModule() {
 	if !sentAny {
 		if tcb.ackNow || (tcb.ackPending && !c.t.cfg.delayedAcks()) {
 			c.sendPureAck()
-		} else if tcb.ackPending && tcb.timer[timerDelayedAck] == nil {
+		} else if tcb.ackPending && !tcb.timerSet[timerDelayedAck] {
 			c.enqueue(actSetTimer{which: timerDelayedAck, d: c.t.cfg.AckDelay})
 		}
 	}
@@ -136,7 +136,7 @@ func (c *Conn) sendData(n int) {
 		sg.timed = true
 	}
 	tcb.rexmitQ.PushBack(sg)
-	if tcb.timer[timerRexmit] == nil {
+	if !tcb.timerSet[timerRexmit] {
 		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 	}
 	c.queueSend(sg)
@@ -179,7 +179,7 @@ func (c *Conn) sendFin() {
 	tcb.finSeq = tcb.sndNxt
 	tcb.sndNxt++
 	tcb.rexmitQ.PushBack(sg)
-	if tcb.timer[timerRexmit] == nil {
+	if !tcb.timerSet[timerRexmit] {
 		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
 	}
 	c.stateFinSent()

@@ -132,12 +132,17 @@ type TCB struct {
 	dupAcks  int
 	recover  seq
 
-	// Timers, managed only by the Action module. armed mirrors which
-	// slots hold a live (set, unexpired, uncleared) timer — the flight
-	// recorder journals it as a bitmask so replay can audit timer state
-	// without depending on wall-clock timer internals.
-	timer [numTimers]*timers.Timer
-	armed [numTimers]bool
+	// Timers, managed only by the Action module: one per slot, bound to
+	// its expiration when the connection is made and re-armed in place.
+	// timerSet means set since the last clear and stays true after an
+	// expiry (the Send module arms rexmit, persist and delayed-ACK only
+	// when it is false). armed mirrors which slots hold a live (set,
+	// unexpired, uncleared) timer — the flight recorder journals it as a
+	// bitmask so replay can audit timer state without depending on
+	// wall-clock timer internals.
+	timer    [numTimers]timers.Timer
+	timerSet [numTimers]bool
+	armed    [numTimers]bool
 
 	// Delayed-ACK bookkeeping: ackPending means an ACK is owed and may
 	// be delayed; ackNow forces it out on the next send pass;

@@ -341,8 +341,8 @@ type TCP struct {
 	// pool is the send side's packet memory (segment.go).
 	pool segPool
 
-	// replay marks an endpoint reconstructed by ReplayJournal: timers
-	// install inert placeholders (expirations come from the journal).
+	// replay marks an endpoint reconstructed by ReplayJournal: timers are
+	// flagged set but never armed (expirations come from the journal).
 	replay bool
 }
 

@@ -1,48 +1,43 @@
-// Package timers reproduces the paper's Figure 11: the entire timer
-// facility — start, clear, expiration — built from nothing but the
-// scheduler's fork and sleep plus one heap-allocated boolean of shared
-// state captured in a closure. The paper singles this out as evidence that
-// higher-order functions plus fast thread creation make traditionally slow
-// timer code "simple and fast".
+// Package timers is the paper's Figure 11: the entire timer facility —
+// start, clear, expiration — as fork, sleep and one shared boolean. The
+// paper singles this out as evidence that higher-order functions plus fast
+// thread creation make traditionally slow timer code "simple and fast".
+// A goroutine is not that fast to create, so the stack's timers keep the
+// figure's semantics and timeline but leave the forked thread's body to
+// the scheduler (sim.Timer); Fig11 keeps the figure itself, as the exhibit
+// and the oracle the timers are tested against.
 package timers
 
 import "repro/internal/sim"
 
-// Timer is the updatable cell returned by Start; Clear sets it, and the
-// forked thread checks it after sleeping.
-type Timer struct {
-	cleared bool
+// Timer is the updatable cell returned by Start.
+type Timer = sim.Timer
+
+// Start arms a new timer: handler runs after d of virtual time, counted
+// from when the thread Fig. 11 forks here would first have run, unless
+// the returned timer is cleared in the meantime.
+func Start(s *sim.Scheduler, handler func(), d sim.Duration) *Timer {
+	t := new(Timer)
+	t.Bind(s, handler)
+	t.Arm(d)
+	return t
 }
 
-// Start forks a thread that sleeps for d of virtual time and then invokes
-// handler — unless the returned timer was cleared in the meantime. This is
-// a direct transliteration of the paper's `start`:
+// Fig11 is a direct transliteration of the paper's `start`; setting the
+// returned flag is its `clear`.
 //
 //	fun start (handler, ms) =
 //	  let val cleared = ref false
 //	      fun sleep () = (Scheduler.sleep (ms);
 //	                      if !cleared then () else handler ())
 //	  in Scheduler.fork (Scheduler.Normal sleep); cleared end
-func Start(s *sim.Scheduler, handler func(), d sim.Duration) *Timer {
-	t := &Timer{}
+func Fig11(s *sim.Scheduler, handler func(), d sim.Duration) (cleared *bool) {
+	cleared = new(bool)
 	s.Fork("timer", func() {
 		s.Sleep(d)
-		if !t.cleared {
-			s.NoteTimerFire()
+		if !*cleared {
 			handler()
 		}
 	})
-	return t
+	return cleared
 }
-
-// Clear prevents the handler from running if it has not run yet. Clearing
-// an expired or already-cleared timer is a no-op; the thread, if still
-// sleeping, wakes, observes the flag, and exits silently.
-func (t *Timer) Clear() {
-	if t != nil {
-		t.cleared = true
-	}
-}
-
-// Cleared reports whether Clear was called.
-func (t *Timer) Cleared() bool { return t != nil && t.cleared }
