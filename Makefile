@@ -78,16 +78,22 @@ perf:
 	$(MAKE) perf-gate
 	$(GO) run ./bench -verify
 
-# perf-gate reads the quick pass and fails if a thread was forked per
-# segment on a clean persistent-connection workload. The scheduler runs
-# the timers' coroutines itself, so sim.forks_per_seg is exactly 0 there
-# (an exact count, the same on any runner); anything above it means some
-# per-segment path went back to forking a goroutine.
+# perf-gate reads the quick pass and fails on two exact counts, the same
+# on any runner. A thread forked per segment on a clean
+# persistent-connection workload: the scheduler runs the timers'
+# coroutines itself, so sim.forks_per_seg is exactly 0 there, and anything
+# above it means some per-segment path went back to forking. And a fork
+# that costs more heap than it did: churn_2c forks per transaction, and
+# with a finished thread's coroutine carrying the next Fork its
+# allocs_per_txn reads 173.03 in the quick pass, against 177.03 when every
+# thread was a new goroutine and 197 when every thread is a new coroutine.
 perf-gate:
 	@awk '/"workload":/ { w = $$2 } \
-	  /"sim.forks_per_seg":/ && w ~ /"(rr_1b|bulk_w4k|bulk_w64k)"/ { seen++; \
+	  /"sim.forks_per_seg":/ && w ~ /"(rr_1b|bulk_w4k|bulk_w64k)"/ { forks++; \
 	    if ($$2 + 0 > 0) { print "perf-gate: sim.forks_per_seg = " $$2 + 0 " on " w; bad = 1 } } \
-	  END { if (seen != 3) { print "perf-gate: bench-quick.json reports sim.forks_per_seg for " seen + 0 " of 3 workloads"; exit 1 } \
+	  /"allocs_per_txn":/ && w ~ /"churn_2c"/ { allocs++; \
+	    if ($$2 + 0 > 177.1) { print "perf-gate: allocs_per_txn = " $$2 + 0 " on " w " ceiling 177.1"; bad = 1 } } \
+	  END { if (forks != 3 || allocs != 1) { print "perf-gate: bench-quick.json reports sim.forks_per_seg for " forks + 0 " of 3 workloads and allocs_per_txn on churn_2c " allocs + 0 " times"; exit 1 } \
 	    exit bad }' bench-quick.json
 
 # chaos runs the deterministic soaks under the race detector: the

@@ -235,7 +235,7 @@ func BenchmarkScheduler(b *testing.B) {
 // BenchmarkTimer measures the timer facility's two cycles — start+clear
 // (the common case on the segment path) and start+expire — for the
 // stack's timers, whose forked thread the scheduler runs itself, and for
-// Fig. 11 as printed, a goroutine per start: the ablation.
+// Fig. 11 as printed, a thread per start: the ablation.
 func BenchmarkTimer(b *testing.B) {
 	for _, impl := range []struct {
 		name  string

@@ -5,14 +5,16 @@
 // The paper implements its scheduler "entirely in SML using continuations";
 // thread switch costs only a few function calls and, because the scheduler
 // is non-preemptive, "data structure locks are therefore not necessary".
-// This package reproduces those semantics on top of goroutines: every
-// thread is a goroutine, but a channel-handoff protocol guarantees that
-// exactly one of them executes at any moment and that control moves only
-// at explicit scheduler calls (Fork, Yield, Sleep, condition waits). No
-// code in this repository takes a lock. A goroutine does not fork in the
-// unit time the paper's continuations do, so the one coroutine forked per
-// segment — Fig. 11's timer — is run by the scheduler itself (Timer) and
-// becomes a goroutine only if it expires uncleared.
+// This package reproduces those semantics on the Go runtime's own
+// coroutines: a forked thread's body runs inside iter.Pull, which lets
+// exactly one side of a resume/yield pair execute at any moment, so control
+// moves only at explicit scheduler calls (Fork, Yield, Sleep, condition
+// waits) and the package itself starts no goroutine and needs no lock. No
+// code in this repository takes a lock. A runtime coroutine still does not
+// fork in the unit time the paper's continuations do, so a thread that
+// exits leaves its coroutine to carry the next Fork, and the one coroutine
+// forked per segment — Fig. 11's timer — is run by the scheduler itself
+// (Timer) and becomes a thread only if it expires uncleared.
 //
 // Time is virtual. The clock advances when a thread sleeps past the last
 // runnable instant, when a caller charges an explicit cost (Charge), and —
@@ -26,8 +28,8 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/basis"
@@ -76,10 +78,9 @@ type Thread struct {
 	prio      int
 	seq       uint64
 	state     threadState
-	resume    chan struct{}
-	startReal time.Time // when this thread last received the CPU
-	factor    float64   // per-thread CPU charge multiplier (inherited)
-	killed    bool      // set by shutdown before the kill resume
+	co        *coroutine // what the thread runs on; nil for Run's main thread
+	startReal time.Time  // when this thread last received the CPU
+	factor    float64    // per-thread CPU charge multiplier (inherited)
 
 	prev, next *Thread // see Scheduler.threads
 }
@@ -133,12 +134,6 @@ type Config struct {
 	// (lower value runs first) instead of round-robin FIFO — the
 	// replacement the paper proposes for latency-critical actions.
 	Priority bool
-
-	// ForkCost and SwitchCost are explicit virtual charges applied per
-	// Fork and per context switch, usable to model the paper's ~30 µs
-	// create+switch cost in deterministic runs. Both default to zero.
-	ForkCost   Duration
-	SwitchCost Duration
 }
 
 // Scheduler owns a set of coroutine threads and the virtual clock.
@@ -155,21 +150,13 @@ type Scheduler struct {
 	// that have not exited, in creation order, for serialized shutdown:
 	// it holds what is parked, not what ever ran.
 	threads Thread
-	main    *Thread
-	unwound chan struct{}
+	idle    []*coroutine // parked by threads that exited, for fork to reuse
 	stopped bool
-	fatal   any // panic value carried from a worker thread to Run
 
 	switches   uint64 // context-switch count, for the E-sched experiment
 	forks      uint64 // threads created; a timer is one only once it expires
 	timerFires uint64 // timer handlers run
 	readyHW    int    // run-queue length high-water mark
-
-	// unwinding tracks forked goroutines so shutdown can wait for every
-	// kill-unwind to finish before Run returns; without it, deferred
-	// user code in dying threads would run concurrently with whatever
-	// follows Run — the one place the handoff discipline wouldn't hold.
-	unwinding sync.WaitGroup
 }
 
 // New returns a scheduler with the given configuration.
@@ -185,7 +172,6 @@ func New(cfg Config) *Scheduler {
 			}
 			return a.seq < b.seq
 		}),
-		unwound: make(chan struct{}),
 	}
 	s.threads.prev, s.threads.next = &s.threads, &s.threads
 	s.sleepers.Track(func(sl sleeper, i int) {
@@ -291,34 +277,23 @@ func (s *Scheduler) ChargeFactor() float64 {
 	return s.current.factor
 }
 
-// Run executes fn as the main thread and services all forked threads until
-// fn returns. Any still-live threads are then killed (their goroutines
-// unwound), so Run leaks nothing. If any thread panics, Run re-panics with
-// that value after shutting the scheduler down.
+// Run executes fn as the main thread, on the caller's goroutine, and
+// services all forked threads until fn returns. Any still-live threads are
+// then killed (their stacks unwound), so Run leaks nothing. A forked
+// thread's panic or runtime.Goexit comes out of the resume that was running
+// it, which is always inside a scheduler call of fn, and so unwinds fn and
+// passes through Run to the caller with its original value after the same
+// shutdown; a deferred call of fn that uses the scheduler on the way
+// panics errKilled.
 func (s *Scheduler) Run(fn func()) {
 	if s.current != nil || s.stopped {
 		panic("sim: Run called twice or on a stopped scheduler")
 	}
-	main := &Thread{name: "main", resume: make(chan struct{}, 1), state: stateRunning, seq: s.nextSeq()}
+	main := &Thread{name: "main", state: stateRunning, seq: s.nextSeq()}
 	s.current = main
-	s.main = main
 	main.startReal = time.Now()
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, killed := r.(killedError); !killed && s.fatal == nil {
-					s.fatal = r
-				}
-			}
-		}()
-		fn()
-	}()
-
-	s.shutdown()
-	if s.fatal != nil {
-		panic(s.fatal)
-	}
+	defer s.shutdown()
+	fn()
 }
 
 // Fork creates a new thread running fn and places it at the tail of the
@@ -332,66 +307,87 @@ func (s *Scheduler) Fork(name string, fn func()) *Thread {
 // first when the scheduler was configured with Priority.
 func (s *Scheduler) ForkPrio(name string, prio int, fn func()) *Thread {
 	s.ensureRunnable("Fork")
-	return s.fork(name, prio, s.nextSeq(), s.current.factor, fn)
+	return s.fork(name, prio, s.current.factor, fn)
 }
 
-func (s *Scheduler) fork(name string, prio int, seq uint64, factor float64, fn func()) *Thread {
-	t := &Thread{name: name, prio: prio, resume: make(chan struct{}, 1), state: stateReady, seq: seq, factor: factor}
+func (s *Scheduler) fork(name string, prio int, factor float64, fn func()) *Thread {
+	t := &Thread{name: name, prio: prio, state: stateReady, seq: s.nextSeq(), factor: factor}
 	s.forks++
-	s.Charge(s.cfg.ForkCost)
+	if n := len(s.idle); n > 0 {
+		t.co, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		t.co = &coroutine{s: s}
+		t.co.resume, t.co.stop = iter.Pull(t.co.run)
+	}
+	t.co.t, t.co.fn = t, fn
 	s.track(t)
-	s.unwinding.Add(1)
-	go s.threadBody(t, fn)
 	s.pushThread(t)
 	return t
 }
 
-// threadBody is the goroutine wrapper for a forked thread: it parks until
-// first dispatched, runs fn, and exits through the scheduler.
-func (s *Scheduler) threadBody(t *Thread, fn func()) {
-	defer s.unwinding.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			if _, killed := r.(killedError); killed {
-				t.state = stateDead
-				if t.killed {
-					// shutdown is waiting for this exact unwind to
-					// finish; nothing else runs until we signal.
-					s.unwound <- struct{}{}
-				}
-				return
-			}
-			// Carry the panic to Run: record it and hand the CPU onward.
-			s.fatal = r
-			t.state = stateDead
-			s.untrack(t)
-			s.dispatchNextOrFinish(t)
-		}
-	}()
-	t.park() // wait to be scheduled the first time
-	fn()
-	s.exit(t)
+// coroutine is what a forked thread runs on. Creating one costs several
+// times a Thread, so it outlives its thread: it carries one thread at a
+// time — t and fn, set by fork — and between two waits on the idle list.
+type coroutine struct {
+	s      *Scheduler
+	t      *Thread
+	fn     func()
+	resume func() (struct{}, bool) // run t until it parks or exits; called by the main thread only
+	stop   func()                  // unwind a parked t, or never start one not yet dispatched
+	yield  func(struct{}) bool     // give the CPU back to the main thread; false is stop's order to unwind
 }
 
-// park suspends the calling goroutine until its thread is resumed. A
-// resume with the killed flag set is shutdown's order to unwind.
-func (t *Thread) park() {
-	<-t.resume
-	if t.killed {
+// run is the body iter.Pull runs: one thread after another, each from its
+// first dispatch to its exit. It returns only by shutdown's stop — the
+// errKilled that unwinds a parked thread ends here — or by a panic or
+// Goexit of the thread's own, which iter.Pull hands to the main thread's
+// resume; stopped is set first so that no deferred call met on the way
+// there, in this thread or in main, re-enters the scheduler.
+func (c *coroutine) run(yield func(struct{}) bool) {
+	c.yield = yield
+	defer func() {
+		c.s.stopped = true
+		c.t.state = stateDead
+		if r := recover(); r != nil && r != errKilled {
+			panic(r)
+		}
+	}()
+	for {
+		c.t.state = stateRunning
+		c.t.startReal = time.Now()
+		c.fn()
+		c.fn = nil // an idle coroutine must not pin what the body captured
+		c.s.exit(c.t)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// park gives the CPU up until t is dispatched again. A forked thread
+// yields to the main thread; the main thread resumes whichever thread is
+// current until that is itself again, so every switch between two forked
+// threads passes through this loop.
+func (s *Scheduler) park(t *Thread) {
+	if t.co == nil {
+		for s.current != t {
+			s.current.co.resume()
+		}
+	} else if !t.co.yield(struct{}{}) {
 		panic(errKilled)
 	}
 	t.state = stateRunning
 	t.startReal = time.Now()
 }
 
-// Yield places the current thread at the tail of the ready queue and runs
+// Yield places the current thread at the tail of the ready queue — under
+// Config.Priority, behind the ready threads of its own priority — and runs
 // the next ready thread.
 func (s *Scheduler) Yield() {
 	s.ensureRunnable("Yield")
 	cur := s.current
 	s.syncClock()
-	cur.state = stateReady
-	s.pushThread(cur)
+	s.requeue(cur)
 	s.reschedule(cur)
 }
 
@@ -427,17 +423,28 @@ func (s *Scheduler) unblock(t *Thread) {
 		panic(fmt.Sprintf("sim: unblock of %s thread %q", t.state, t.name))
 	}
 	s.blocked--
+	s.requeue(t)
+}
+
+// requeue makes a thread that ran before ready again. It queues behind
+// everything already ready at its priority, so it takes a fresh seq: with
+// the one it was forked with, a Priority scheduler would put it back ahead
+// of equal-priority threads that have been waiting for their turn.
+func (s *Scheduler) requeue(t *Thread) {
 	t.state = stateReady
 	t.seq = s.nextSeq()
 	s.pushThread(t)
 }
 
-// exit terminates the calling thread, dispatching the next runnable one.
+// exit terminates the calling thread and makes the next runnable one
+// current; the thread's coroutine parks itself on the idle list next.
 func (s *Scheduler) exit(t *Thread) {
 	s.syncClock()
 	t.state = stateDead
 	s.untrack(t)
-	s.dispatchNextOrFinish(t)
+	s.current = s.next()
+	s.switches++
+	s.idle = append(s.idle, t.co)
 }
 
 // track appends a forked thread to the shutdown ring; untrack unlinks an
@@ -457,33 +464,12 @@ func (s *Scheduler) untrack(t *Thread) {
 func (s *Scheduler) reschedule(cur *Thread) {
 	next := s.next()
 	s.switches++
-	s.Charge(s.cfg.SwitchCost)
 	if next == cur {
 		cur.state = stateRunning
 		return
 	}
 	s.current = next
-	next.resume <- struct{}{}
-	cur.park()
-}
-
-// dispatchNextOrFinish is reschedule for a dying thread: it never parks.
-// After a panic it hands the CPU straight back to Run's main thread.
-func (s *Scheduler) dispatchNextOrFinish(t *Thread) {
-	if s.fatal != nil {
-		// Carry control back to main so Run can re-panic; the remaining
-		// threads are killed one at a time by shutdown afterwards.
-		s.stopped = true
-		if s.main.state != stateRunning && s.main.state != stateDead {
-			s.main.killed = true
-			s.main.resume <- struct{}{}
-		}
-		return
-	}
-	next := s.next()
-	s.switches++
-	s.current = next
-	next.resume <- struct{}{}
+	s.park(cur)
 }
 
 // next picks the next thread to run, advancing the virtual clock over idle
@@ -524,8 +510,7 @@ func (s *Scheduler) next() *Thread {
 			if due.tm != nil {
 				s.expire(due.tm)
 			} else {
-				due.t.state = stateReady
-				s.pushThread(due.t)
+				s.requeue(due.t)
 			}
 		}
 	}
@@ -568,20 +553,21 @@ func (s *Scheduler) ensureRunnable(op string) {
 	}
 }
 
-// shutdown kills every remaining thread after the main function returns,
-// one at a time — each killed goroutine finishes unwinding (deferred
-// functions included) before the next is woken, preserving the
-// one-thread-at-a-time discipline even while dying — so Run returns only
-// once nothing of the simulation is still executing.
+// shutdown kills every remaining thread once the main function is done,
+// oldest first. stop returns only when its thread's deferred functions
+// have run, so the dying keep the one-thread-at-a-time discipline and Run
+// returns only once nothing of the simulation is still executing. A panic
+// out of a dying thread's deferred call leaves through stop, and leaves
+// the threads behind it parked for good.
 func (s *Scheduler) shutdown() {
 	s.stopped = true
 	s.current = nil
 	for t := s.threads.next; t != &s.threads; t = t.next {
-		t.killed = true
-		t.resume <- struct{}{}
-		<-s.unwound
+		t.co.stop()
 	}
-	s.unwinding.Wait()
+	for _, c := range s.idle {
+		c.stop()
+	}
 }
 
 func (s *Scheduler) deadlockReport() string {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -166,16 +167,29 @@ func TestDeadlockPanics(t *testing.T) {
 	})
 }
 
+// A forked thread's panic reaches Run's caller with its own value, past
+// main's deferred functions and after every parked thread was unwound,
+// oldest first.
 func TestWorkerPanicPropagatesToRun(t *testing.T) {
 	s := det()
+	var unwound []int
+	unwinding, mainDefer := 0, false
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Fatalf("recovered %v, want boom", r)
 		}
+		if !mainDefer || fmt.Sprint(unwound) != "[0 1]" {
+			t.Fatalf("main's defer ran: %v, shutdown unwound %v; want true, [0 1]", mainDefer, unwound)
+		}
 	}()
 	s.Run(func() {
+		defer func() { mainDefer = true }()
+		parkForever(t, s, 0, &unwound, &unwinding)
+		parkForever(t, s, 1, &unwound, &unwinding)
+		s.Yield()
 		s.Fork("bomber", func() { panic("boom") })
 		s.Sleep(time.Second)
+		t.Error("main ran on after a forked thread's panic")
 	})
 	t.Fatal("Run returned instead of panicking")
 }
@@ -300,22 +314,6 @@ func TestSwitchAndForkCounters(t *testing.T) {
 	}
 }
 
-func TestExplicitSwitchAndForkCosts(t *testing.T) {
-	s := New(Config{ForkCost: 10 * time.Microsecond, SwitchCost: 30 * time.Microsecond})
-	s.Run(func() {
-		start := s.Now()
-		s.Fork("a", func() {})
-		if d := time.Duration(s.Now() - start); d != 10*time.Microsecond {
-			t.Errorf("fork cost charged %v", d)
-		}
-		before := s.Now()
-		s.Yield() // two switches: away and back
-		if d := time.Duration(s.Now() - before); d < 30*time.Microsecond {
-			t.Errorf("switch cost charged %v", d)
-		}
-	})
-}
-
 func TestChargeCPUAdvancesClockWithRealWork(t *testing.T) {
 	s := New(Config{ChargeCPU: true, CPUScale: 1000})
 	s.Run(func() {
@@ -405,21 +403,7 @@ func TestExitedThreadsAreNotRetained(t *testing.T) {
 	s := det()
 	var unwound []int
 	running := 0
-	park := func(id int) {
-		s.Fork("parked", func() {
-			defer func() {
-				running++
-				if running != 1 {
-					t.Errorf("thread %d unwinds while another is still unwinding", id)
-				}
-				unwound = append(unwound, id)
-				running--
-			}()
-			for {
-				s.Sleep(time.Hour)
-			}
-		})
-	}
+	park := func(id int) { parkForever(t, s, id, &unwound, &running) }
 	s.Run(func() {
 		park(0)
 		s.Yield()

@@ -16,7 +16,6 @@ type Timer struct {
 	s       *Scheduler
 	handler func()
 	d       Duration // the pending sleep, until the stand-in's first run
-	seq     uint64   // the forked thread's seq, taken by Arm
 	factor  float64  // the arming thread's charge factor, for the expiry thread
 	gen     uint32   // bumped by Arm and Clear; see ready.gen
 	pos     int      // index in the sleep heap plus one; 0 when not asleep
@@ -34,8 +33,8 @@ func (t *Timer) Arm(d Duration) {
 	s.ensureRunnable("Arm")
 	t.Clear()
 	t.cleared = false
-	t.d, t.seq, t.factor = d, s.nextSeq(), s.current.factor
-	s.pushReady(ready{tm: t, seq: t.seq, gen: t.gen})
+	t.d, t.factor = d, s.current.factor
+	s.pushReady(ready{tm: t, seq: s.nextSeq(), gen: t.gen})
 }
 
 // Clear prevents the handler from running if it has not started yet, and
@@ -54,12 +53,13 @@ func (t *Timer) Clear() {
 // Cleared reports whether Clear was called since the last Arm.
 func (t *Timer) Cleared() bool { return t != nil && t.cleared }
 
-// expire forks the thread a due timer runs its handler on. The thread
-// looks at the timer again when dispatched: a handler due at the same
-// instant may have cleared it.
+// expire forks the thread a due timer runs its handler on; the thread's
+// fresh seq is the one the woken (or, for d ≤ 0, yielding) sleeper takes
+// in requeue. The thread looks at the timer again when dispatched: a
+// handler due at the same instant may have cleared it.
 func (s *Scheduler) expire(tm *Timer) {
 	gen := tm.gen
-	s.fork("timer", 0, tm.seq, tm.factor, func() {
+	s.fork("timer", 0, tm.factor, func() {
 		if tm.gen == gen {
 			s.timerFires++
 			tm.handler()

@@ -2,7 +2,7 @@
 // start, clear, expiration — as fork, sleep and one shared boolean. The
 // paper singles this out as evidence that higher-order functions plus fast
 // thread creation make traditionally slow timer code "simple and fast".
-// A goroutine is not that fast to create, so the stack's timers keep the
+// A thread here is not that fast to create, so the stack's timers keep the
 // figure's semantics and timeline but leave the forked thread's body to
 // the scheduler (sim.Timer); Fig11 keeps the figure itself, as the exhibit
 // and the oracle the timers are tested against.
