@@ -78,22 +78,32 @@ perf:
 	$(MAKE) perf-gate
 	$(GO) run ./bench -verify
 
-# perf-gate reads the quick pass and fails on two exact counts, the same
-# on any runner. A thread forked per segment on a clean
-# persistent-connection workload: the scheduler runs the timers'
-# coroutines itself, so sim.forks_per_seg is exactly 0 there, and anything
-# above it means some per-segment path went back to forking. And a fork
-# that costs more heap than it did: churn_2c forks per transaction, and
-# with a finished thread's coroutine carrying the next Fork its
-# allocs_per_txn reads 173.03 in the quick pass, against 177.03 when every
-# thread was a new goroutine and 197 when every thread is a new coroutine.
+# perf-gate reads the quick pass and fails on exact counts, the same on any
+# runner; each is a ceiling, and a value the quick pass does not report
+# fails too.
+#  - A thread forked per segment on a clean persistent-connection workload:
+#    the scheduler runs the timers' coroutines itself, so sim.forks_per_seg
+#    is exactly 0 there, and anything above it means some per-segment path
+#    went back to forking.
+#  - Heap on the data path: frames, packets, segments and actions are all
+#    recycled or plain values, so a 10^6-byte reply allocates ~0.01 KB (1279
+#    when every frame, Packet, segment and boxed action was made per
+#    segment) and a 1-byte round trip 1 object (17). The ceilings leave room
+#    to hold a frame now and then, not to allocate per segment.
+#  - A fork that costs more heap than it did: churn_2c forks and opens a
+#    connection per transaction, and its allocs_per_txn reads 66.01 — 173.03
+#    before the receive path borrowed, 177.03 when every thread was a new
+#    goroutine, 197 when every thread is a new coroutine.
 perf-gate:
-	@awk '/"workload":/ { w = $$2 } \
-	  /"sim.forks_per_seg":/ && w ~ /"(rr_1b|bulk_w4k|bulk_w64k)"/ { forks++; \
-	    if ($$2 + 0 > 0) { print "perf-gate: sim.forks_per_seg = " $$2 + 0 " on " w; bad = 1 } } \
-	  /"allocs_per_txn":/ && w ~ /"churn_2c"/ { allocs++; \
-	    if ($$2 + 0 > 177.1) { print "perf-gate: allocs_per_txn = " $$2 + 0 " on " w " ceiling 177.1"; bad = 1 } } \
-	  END { if (forks != 3 || allocs != 1) { print "perf-gate: bench-quick.json reports sim.forks_per_seg for " forks + 0 " of 3 workloads and allocs_per_txn on churn_2c " allocs + 0 " times"; exit 1 } \
+	@awk 'BEGIN { \
+	    max["sim.forks_per_seg", "rr_1b"] = 0; max["sim.forks_per_seg", "bulk_w4k"] = 0; max["sim.forks_per_seg", "bulk_w64k"] = 0; \
+	    max["alloc_KB_per_txn", "bulk_w4k"] = 100; max["alloc_KB_per_txn", "bulk_w64k"] = 100; \
+	    max["allocs_per_txn", "rr_1b"] = 6; max["allocs_per_txn", "churn_2c"] = 66.11 } \
+	  /"workload":/ { w = $$2; gsub(/[",]/, "", w) } \
+	  { m = $$1; gsub(/[":]/, "", m) } \
+	  (m, w) in max { seen[m, w] = 1; \
+	    if ($$2 + 0 > max[m, w]) { print "perf-gate: " m " = " $$2 + 0 " on " w ", ceiling " max[m, w]; bad = 1 } } \
+	  END { for (k in max) if (!(k in seen)) { split(k, p, SUBSEP); print "perf-gate: bench-quick.json reports no " p[1] " for " p[2]; bad = 1 } \
 	    exit bad }' bench-quick.json
 
 # chaos runs the deterministic soaks under the race detector: the

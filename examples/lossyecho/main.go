@@ -45,7 +45,9 @@ func main() {
 		client, server := net.Host(0), net.Host(1)
 
 		server.TCP.Listen(7, func(c *foxnet.Conn) foxnet.Handler {
-			return foxnet.Handler{Data: func(c *foxnet.Conn, d []byte) { c.Write(d) }}
+			return foxnet.Handler{Data: func(c *foxnet.Conn, d []byte) {
+				c.Write(append([]byte(nil), d...)) //foxvet:boundary-copy echo: Data only borrows d, and Write queues by reference until the window admits the bytes
+			}}
 		})
 
 		sent := make([]byte, *size)

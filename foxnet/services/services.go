@@ -54,7 +54,7 @@ func (sv *Server) StartEcho() error {
 		return tcp.Handler{
 			Data: func(c *tcp.Conn, d []byte) {
 				sv.stats.EchoBytes += uint64(len(d))
-				c.Write(d)
+				c.Write(append([]byte(nil), d...)) //foxvet:boundary-copy echo: Data only borrows d, and Write queues by reference until the window admits the bytes
 			},
 			PeerClosed: func(c *tcp.Conn) { c.Shutdown() },
 		}

@@ -44,6 +44,49 @@ func TestEchoService(t *testing.T) {
 	})
 }
 
+// TestEchoUnderFaults is the echo service where echoing is hard: loss,
+// duplication and reordering in both directions, so the bytes a Data
+// upcall brings often cannot leave at once — the peer's window is shut, a
+// retransmission is pending — and Write holds them by reference long
+// after the upcall returned and the device reused the frame they arrived
+// in. The service must echo a copy. (Echoing the borrowed slice sends
+// back whatever later frame landed in that buffer, or 0xA5 under -race.)
+func TestEchoUnderFaults(t *testing.T) {
+	s := foxnet.NewScheduler(foxnet.SchedulerConfig{})
+	s.Run(func() {
+		net := foxnet.NewNetwork(s, foxnet.WireConfig{Seed: 11, Loss: 0.04, Duplicate: 0.03, Jitter: 0.1}, 2)
+		sv := services.New(s, net.Host(1).TCP)
+		if err := sv.StartEcho(); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		conn, err := net.Host(0).TCP.Open(net.Host(1).Addr, services.EchoPort, foxnet.Handler{
+			Data: func(c *foxnet.Conn, d []byte) { got.Write(d) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := make([]byte, 60_000)
+		for i := range msg {
+			msg[i] = byte(i*7 + i/251) // no period a stale buffer could match
+		}
+		s.Fork("w", func() { conn.Write(msg) })
+		for deadline := s.Now() + foxnet.Time(10*time.Minute); got.Len() < len(msg) && s.Now() < deadline; {
+			s.Sleep(time.Second)
+		}
+		if !bytes.Equal(got.Bytes(), msg) {
+			i := 0
+			for i < got.Len() && got.Bytes()[i] == msg[i] {
+				i++
+			}
+			t.Fatalf("echoed %d of %d bytes, first difference at byte %d", got.Len(), len(msg), i)
+		}
+		if st := net.Host(1).TCP.Stats(); st.Retransmits == 0 {
+			t.Fatal("the wire was too kind: the server never had to retransmit an echo")
+		}
+	})
+}
+
 func TestDiscardService(t *testing.T) {
 	withServer(t, func(s *foxnet.Scheduler, net *foxnet.Network, sv *services.Server) {
 		conn, err := net.Host(0).TCP.Open(net.Host(1).Addr, services.DiscardPort, foxnet.Handler{

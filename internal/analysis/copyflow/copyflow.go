@@ -29,9 +29,15 @@
 // function's doc comment. A directive without a reason is itself an
 // error: boundaries are reviewed, not waved through.
 //
+// The receive path has one more way to outlive a packet than copying it:
+// an upcall borrows its packet, and a layer that holds received bytes past
+// the upcall without copying takes the frame over with Packet.Keep. A
+// Keep is not a copy and never a finding, but it is where ownership moves,
+// so the map records every call site as a hand-over.
+//
 // Extract renders the proved copy map per layer as Graphviz — every
-// sanctioned, boundary, and violating site with counts — for the
-// -copyflow-dot flag.
+// sanctioned, boundary, hand-over and violating site with counts — for
+// the -copyflow-dot flag.
 package copyflow
 
 import (
@@ -73,6 +79,7 @@ const (
 	kindViolation kind = iota
 	kindSanctioned
 	kindBoundary
+	kindHandOver
 )
 
 func (k kind) String() string {
@@ -81,15 +88,21 @@ func (k kind) String() string {
 		return "sanctioned"
 	case kindBoundary:
 		return "boundary"
+	case kindHandOver:
+		return "hand-over"
 	}
 	return "violation"
 }
 
-// event is one copy site.
+// event is one copy site, or one Keep.
 type event struct {
 	pos  token.Pos
-	what string // copy | append | string | NewPacket | Clone
+	what string // copy | append | string | NewPacket | Clone | Keep
 }
+
+// keep is the event that is not a copy: Packet.Keep, the receive path's
+// ownership hand-over.
+const keep = "Keep"
 
 func run(pass *analysis.Pass) (any, error) {
 	if !eventScope[lastElem(pass.Pkg.Path())] {
@@ -116,7 +129,7 @@ func run(pass *analysis.Pass) (any, error) {
 				pass.Reportf(fd.Pos(), "%s needs a reason: say why this function's copy is a deliberate boundary", directive)
 			}
 			for _, ev := range w.events(pass.TypesInfo, fd, sanctioned) {
-				if sanctioned {
+				if sanctioned || ev.what == keep {
 					continue
 				}
 				if fnMarked {
@@ -380,6 +393,8 @@ func (w *world) events(info *types.Info, fd *ast.FuncDecl, sanctioned bool) []ev
 			}
 		case fn.Name() == "Clone" && recvNamed(fn) == "Packet":
 			out = append(out, event{pos: call.Pos(), what: "Clone"})
+		case fn.Name() == keep && recvNamed(fn) == "Packet":
+			out = append(out, event{pos: call.Pos(), what: keep})
 		}
 		return true
 	})
@@ -573,6 +588,8 @@ func Extract(pkgs []*analysis.Package) (string, error) {
 				for _, ev := range w.events(pkg.Info, fd, sanctioned) {
 					s := site{pkg: lastElem(pkg.Path), fn: funcLabel(fd, fn), what: ev.what}
 					switch {
+					case ev.what == keep:
+						s.kind = kindHandOver
 					case sanctioned:
 						s.kind = kindSanctioned
 					case fnMarked:
@@ -629,7 +646,7 @@ func renderDot(sites []site) string {
 	var b strings.Builder
 	b.WriteString("digraph copyflow {\n")
 	b.WriteString("\trankdir=TB;\n")
-	b.WriteString("\tlabel=\"proved copy map: each user byte copied at most once per direction\\nsolid = sanctioned data copy, dashed = reviewed boundary, red = violation\";\n")
+	b.WriteString("\tlabel=\"proved copy map: each user byte copied at most once per direction\\nsolid = sanctioned data copy, dashed = reviewed boundary, bold = Keep hand-over (no copy), red = violation\";\n")
 	b.WriteString("\tnode [shape=box, fontname=\"monospace\"];\n")
 	for _, layer := range layerOrder {
 		fmt.Fprintf(&b, "\tsubgraph cluster_%s {\n\t\tlabel=\"%s\";\n", layer, layer)
@@ -659,6 +676,8 @@ func renderDot(sites []site) string {
 			switch n.kind {
 			case kindBoundary:
 				attrs = ", style=dashed"
+			case kindHandOver:
+				attrs = ", style=bold"
 			case kindViolation:
 				attrs = ", color=red"
 			}

@@ -25,6 +25,9 @@ func (p *Packet) Clone() *Packet {
 	return &Packet{buf: buf, off: p.off, end: p.end}
 }
 
+// Keep takes the buffer over from the device that lent it.
+func (p *Packet) Keep() {}
+
 // Push grows the header region; the result is header, not payload.
 func (p *Packet) Push(n int) []byte {
 	p.off -= n

@@ -9,12 +9,14 @@
 // resource ledger. This pass enforces that discipline statically.
 //
 // Sources are structural: any function whose name starts with
-// "unmarshal" and whose first result is a pointer to a struct marks
-// that struct as a wire type; reading any field off a wire-typed value
-// taints the result. Taint propagates through assignments, arithmetic,
-// conversions, and ordinary calls (a helper fed tainted data returns
-// tainted data). len and cap are clean: the measured length of a
-// buffer you already hold is a bound, not a claim.
+// "unmarshal" and whose first result is a pointer to a struct — or any
+// method so named on a pointer to a struct, which it fills in place so
+// the caller can reuse one — marks that struct as a wire type; reading
+// any field off a wire-typed value taints the result. Taint propagates
+// through assignments, arithmetic, conversions, and ordinary calls (a
+// helper fed tainted data returns tainted data). len and cap are clean:
+// the measured length of a buffer you already hold is a bound, not a
+// claim.
 //
 // Sanitization is how findings are fixed, never suppressed:
 //
@@ -95,19 +97,17 @@ func buildWorld(pkgs []*analysis.Package) *world {
 				if !strings.HasPrefix(strings.ToLower(fn.Name()), "unmarshal") {
 					continue
 				}
-				res := fn.Type().(*types.Signature).Results()
-				if res.Len() == 0 {
-					continue
+				// What it decodes into: its first result, or failing that
+				// its receiver.
+				sig := fn.Type().(*types.Signature)
+				var named *types.Named
+				if res := sig.Results(); res.Len() > 0 {
+					named = structPointee(res.At(0).Type())
 				}
-				ptr, ok := res.At(0).Type().(*types.Pointer)
-				if !ok {
-					continue
+				if named == nil && sig.Recv() != nil {
+					named = structPointee(sig.Recv().Type())
 				}
-				named, ok := ptr.Elem().(*types.Named)
-				if !ok {
-					continue
-				}
-				if _, ok := named.Underlying().(*types.Struct); !ok {
+				if named == nil {
 					continue
 				}
 				w.unmarshals[fn] = true
@@ -116,6 +116,22 @@ func buildWorld(pkgs []*analysis.Package) *world {
 		}
 	}
 	return w
+}
+
+// structPointee returns T when t is a pointer to a named struct type T.
+func structPointee(t types.Type) *types.Named {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return nil
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return nil
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return named
 }
 
 func run(pass *analysis.Pass) (any, error) {

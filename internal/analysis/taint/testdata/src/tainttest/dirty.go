@@ -46,6 +46,15 @@ func chargeRaw(b []byte) {
 	memCharge(int(f.size)) // want "memory-accounting charge"
 }
 
+// A struct an unmarshal method fills in place is as much the peer's as
+// one an unmarshal function returns.
+func allocFromReused(r *record, b []byte) []byte {
+	if err := r.unmarshal(b); err != nil {
+		return nil
+	}
+	return make([]byte, r.n) // want "allocation size"
+}
+
 // Taint propagates through locals, arithmetic, and conversions.
 func propagated(f *frame, buf []byte) byte {
 	n := int(f.off)

@@ -29,6 +29,21 @@ func unmarshalFrame(b []byte) (*frame, error) {
 	return f, nil
 }
 
+// record is a wire type marked the other way: unmarshal is a method that
+// fills its receiver, so one record can be reused for every arrival.
+type record struct {
+	n    uint32
+	data []byte
+}
+
+func (r *record) unmarshal(b []byte) error {
+	if len(b) < 4 {
+		return errors.New("short record")
+	}
+	*r = record{n: uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), data: b[4:]}
+	return nil
+}
+
 // okSize validates a claimed size against the configured budget.
 //
 //foxvet:sanitizes

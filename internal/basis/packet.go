@@ -15,6 +15,8 @@ type Packet struct {
 	buf []byte // backing store
 	off int    // start of the current view within buf
 	end int    // one past the last data byte within buf
+	// kept records that a receiver took the backing store for good (Keep).
+	kept bool
 }
 
 // NewPacket returns a packet whose payload is a copy of data, with
@@ -45,6 +47,26 @@ func AllocPacket(headroom, tailroom, size int) *Packet {
 func FromWire(raw []byte) *Packet {
 	return &Packet{buf: raw, off: 0, end: len(raw)}
 }
+
+// Rewire re-views p over raw exactly as FromWire would have built it, so
+// a device's receive loop can run every upcall chain over one Packet. It
+// clears Kept.
+func (p *Packet) Rewire(raw []byte) {
+	*p = Packet{buf: raw, end: len(raw)}
+}
+
+// Keep is the receive path's one hand-over. An upcall borrows its packet:
+// the device takes the backing store back when the upcall chain returns
+// and reuses it for a later frame. A layer that must hold received bytes
+// past its upcall calls Keep first; the store then belongs to the holders
+// of its slices for good — it leaves the device's pool for the collector,
+// so there is no release to call and nothing to count. Keep does not make
+// the Packet itself safe to hold: the device reuses that too.
+func (p *Packet) Keep() { p.kept = true }
+
+// Kept reports whether Keep was called since the packet was built or
+// rewired.
+func (p *Packet) Kept() bool { return p.kept }
 
 // Bytes returns the current view: all data from the first pushed header to
 // the end of the payload. The slice aliases the packet's storage.

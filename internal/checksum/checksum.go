@@ -6,9 +6,10 @@
 //     bits of carries collect in the top half before renormalizing. This
 //     is the "optimized using the techniques described by Braden, Borman,
 //     and Partridge [RFC 1071]" routine the paper clocked at 343 µs/KB.
-//   - SumWide: the natural widening of the same idea to 8-byte loads and a
-//     64-bit accumulator (the staging the paper expected of a better code
-//     generator).
+//   - SumWide: the natural widening of the same idea — 8-byte loads added
+//     whole into 64-bit accumulators with end-around carry and one fold at
+//     the end (the staging the paper expected of a better code generator).
+//     This is the routine the stack runs.
 //   - SumNaive: a 16-bit-word-at-a-time loop with per-addition carry
 //     folding — "a slower algorithm", standing in for the x-kernel routine
 //     the paper clocked at 375 µs/KB.
@@ -19,7 +20,10 @@
 // without being copied into one buffer.
 package checksum
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Fold reduces a 32-bit partial one's-complement sum to 16 bits.
 //
@@ -79,22 +83,44 @@ func fig10Words(sum uint32, data []byte) uint32 {
 }
 
 // SumWide returns the folded (not inverted) one's-complement sum of data
-// added to initial, using 8-byte loads into a 64-bit accumulator.
+// added to initial. It is the routine the stack runs (Accumulator.Add):
+// 8-byte loads added whole into 64-bit accumulators with end-around carry
+// — RFC 1071's observation that the one's-complement sum may be taken
+// over words of any multiple of 16 bits and folded once at the end. Two
+// independent accumulators take alternate words, so the adds of one
+// 32-byte round overlap, and a carry out of one add rides into the next
+// add of the same accumulator instead of being folded on the spot.
 //
 //foxvet:hotpath
 func SumWide(initial uint16, data []byte) uint16 {
-	sum := uint64(initial)
-	n := 0
-	for ; n+8 <= len(data); n += 8 {
-		w := binary.BigEndian.Uint64(data[n:])
-		sum += w>>48 + w>>32&0xffff + w>>16&0xffff + w&0xffff
+	s0, s1 := uint64(initial), uint64(0)
+	var c0, c1 uint64
+	for len(data) >= 32 {
+		s0, c0 = bits.Add64(s0, binary.BigEndian.Uint64(data[0:8]), c0)
+		s1, c1 = bits.Add64(s1, binary.BigEndian.Uint64(data[8:16]), c1)
+		s0, c0 = bits.Add64(s0, binary.BigEndian.Uint64(data[16:24]), c0)
+		s1, c1 = bits.Add64(s1, binary.BigEndian.Uint64(data[24:32]), c1)
+		data = data[32:]
 	}
-	for ; n+2 <= len(data); n += 2 {
-		sum += uint64(binary.BigEndian.Uint16(data[n:]))
+	for len(data) >= 8 {
+		s0, c0 = bits.Add64(s0, binary.BigEndian.Uint64(data[0:8]), c0)
+		data = data[8:]
 	}
-	if n < len(data) {
-		sum += uint64(data[n]) << 8
+	if len(data) > 0 {
+		// The last 1–7 bytes, as the high bytes of a zero-padded word: the
+		// loop above consumed a multiple of 8, so 16-bit pairing is intact
+		// and an odd final byte lands in the high half of its word.
+		var last [8]byte
+		copy(last[:], data)
+		s1, c1 = bits.Add64(s1, binary.BigEndian.Uint64(last[:]), c1)
 	}
+	// Bring the two pending carries and the two accumulators together,
+	// each step end-around, then fold 64 → 32 → 16 bits.
+	s0, c0 = bits.Add64(s0, c1, c0)
+	s0, c0 = bits.Add64(s0, s1, c0)
+	s0, c0 = bits.Add64(s0, 0, c0)
+	s0 += c0 // cannot carry: the add above left s0 = 0 if it carried
+	sum := s0>>32 + s0&0xffffffff
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
 	}

@@ -203,3 +203,64 @@ func TestLargeBufferRenormalization(t *testing.T) {
 		t.Fatalf("fig10 on %d bytes: %#04x want %#04x", len(data), got, want)
 	}
 }
+
+// TestCarrySaturation drives the routines where every add carries: an
+// all-0xff buffer (each 64-bit add of SumWide overflows, each 16-bit add
+// of the others wraps), at every length that mixes SumWide's 32-byte
+// rounds, 8-byte words and 1–7-byte tail, from every initial sum that
+// sits on a fold boundary — alone, and cut at every odd offset through an
+// Accumulator, where a region's last byte pairs with the next one's first.
+func TestCarrySaturation(t *testing.T) {
+	ff := make([]byte, 71)
+	for i := range ff {
+		ff[i] = 0xff
+	}
+	for n := 0; n <= len(ff); n++ {
+		data := ff[:n]
+		for _, initial := range []uint16{0, 1, 0x00ff, 0xff00, 0xfffe, 0xffff} {
+			want := refSum(initial, data)
+			if got := SumWide(initial, data); got != want {
+				t.Errorf("wide len %d initial %#04x: %#04x want %#04x", n, initial, got, want)
+			}
+			if got := SumFig10(initial, data); got != want {
+				t.Errorf("fig10 len %d initial %#04x: %#04x want %#04x", n, initial, got, want)
+			}
+			if got := SumNaive(initial, data); got != want {
+				t.Errorf("naive len %d initial %#04x: %#04x want %#04x", n, initial, got, want)
+			}
+		}
+		want := refSum(0, data)
+		for cut := 1; cut < n; cut += 2 {
+			var acc Accumulator
+			acc.Add(data[:cut])
+			acc.Add(data[cut:])
+			if acc.Partial() != want {
+				t.Errorf("accumulator len %d cut %d: %#04x want %#04x", n, cut, acc.Partial(), want)
+			}
+		}
+	}
+}
+
+// TestWideAgreesOnFrameSizedInputs checks SumWide against the reference
+// on seeded random buffers of every length a frame can have, with random
+// initial sums; the quick.Check property above rarely generates inputs
+// long enough to leave the 32-byte loop more than a few times.
+func TestWideAgreesOnFrameSizedInputs(t *testing.T) {
+	state := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return state
+	}
+	buf := make([]byte, 1600)
+	for n := 0; n < len(buf); n++ {
+		for i := range buf[:n] {
+			buf[i] = byte(next() >> 24)
+		}
+		initial := uint16(next() >> 40)
+		if got, want := SumWide(initial, buf[:n]), refSum(initial, buf[:n]); got != want {
+			t.Fatalf("len %d initial %#04x: %#04x want %#04x", n, initial, got, want)
+		}
+	}
+}

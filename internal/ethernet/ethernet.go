@@ -72,7 +72,8 @@ type Stats struct {
 	RxRunt        uint64
 }
 
-// Handler receives a demultiplexed frame's payload.
+// Handler receives a demultiplexed frame's payload. It borrows pkt
+// (protocol.Handler).
 type Handler func(src, dst Addr, pkt *basis.Packet)
 
 // Config parameterizes the layer.

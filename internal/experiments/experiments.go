@@ -288,7 +288,9 @@ func RoundTrip(impl Impl, o Options) RTTResult {
 
 		echoStructured := func() *tcp.Conn {
 			sender.TCP.Listen(reqPort, func(c *tcp.Conn) tcp.Handler {
-				return tcp.Handler{Data: func(c *tcp.Conn, d []byte) { c.Write(d) }}
+				return tcp.Handler{Data: func(c *tcp.Conn, d []byte) {
+					c.Write(append([]byte(nil), d...)) //foxvet:boundary-copy echo: Data only borrows d, and Write queues by reference until the window admits the bytes
+				}}
 			})
 			conn, err := receiver.TCP.Open(sender.Addr, reqPort, tcp.Handler{
 				Data: func(c *tcp.Conn, d []byte) { replied = true; gotReply.Signal() },

@@ -41,7 +41,8 @@ type Resolver interface {
 	Resolve(next Addr, ready func(mac ethernet.Addr, ok bool))
 }
 
-// Handler receives a demultiplexed datagram's payload.
+// Handler receives a demultiplexed datagram's payload. It borrows pkt
+// (protocol.Handler).
 type Handler func(src, dst Addr, pkt *basis.Packet)
 
 // Config parameterizes a host's IP layer.
@@ -476,9 +477,17 @@ var _ protocol.Network = (*network)(nil)
 
 func (n *network) LocalAddr() protocol.Address { return n.ip.cfg.Local }
 
+// Attach hands h the source address as a protocol.Address. Converting an
+// Addr to the interface allocates, and a transport hears from the same
+// peer segment after segment, so the last conversion is kept.
 func (n *network) Attach(h protocol.Handler) {
+	var last Addr
+	var boxed protocol.Address
 	n.ip.Register(n.proto, func(src, dst Addr, pkt *basis.Packet) {
-		h(src, pkt)
+		if boxed == nil || src != last {
+			last, boxed = src, src
+		}
+		h(boxed, pkt)
 	})
 }
 

@@ -25,6 +25,16 @@ type Address interface {
 // Handler is the upcall type: received data is delivered to a higher
 // layer by calling the higher layer's handler ("upcalls", Clark, cited by
 // the paper as a design it adopts from the x-kernel).
+//
+// The upcall borrows pkt — the mirror of Send below. Each layer on the
+// way up strips its header from the packet's view and passes the same
+// packet on; when the chain returns, the device (wire.Port) takes the
+// packet and the frame under it back and reuses both for a later frame.
+// So neither pkt nor any slice of pkt.Bytes() may be used after the
+// handler returns. A layer that must hold received bytes longer either
+// copies them (ip reassembly) or calls pkt.Keep() first (TCP's
+// out-of-order queue and Read buffer): the frame is then its to hold for
+// good and the device lets go of it.
 type Handler func(src Address, pkt *basis.Packet)
 
 // Network is what a transport protocol needs from the layer below it —

@@ -30,7 +30,7 @@ func (c *Conn) bindTimers() {
 		which := timerID(i)
 		c.tcb.timer[i].Bind(c.t.s, func() {
 			e := c.enter(enterTimer, int(which))
-			c.enqueue(actTimerExpired{which: which})
+			c.enqueue(action{kind: actTimerExpired, which: which})
 			c.leave(e)
 		})
 	}
@@ -64,8 +64,8 @@ func (c *Conn) timerExpired(which timerID) {
 		c.persistTimeout()
 	case timerTimeWait:
 		// 2×MSL elapsed: the connection finally evaporates.
-		c.enqueue(actCompleteClose{})
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actCompleteClose})
+		c.enqueue(action{kind: actDeleteTCB})
 	case timerUser:
 		// Establishment (or close) took longer than the user timeout.
 		c.stateAbort(ErrTimeout)
@@ -86,7 +86,7 @@ func (c *Conn) keepaliveExpired() {
 	if idle < c.t.cfg.KeepaliveIdle {
 		// Heard from the peer since the timer was set: re-arm for the
 		// remainder rather than restarting the timer on every segment.
-		c.enqueue(actSetTimer{which: timerKeepalive, d: c.t.cfg.KeepaliveIdle - idle})
+		c.enqueue(action{kind: actSetTimer, which: timerKeepalive, d: c.t.cfg.KeepaliveIdle - idle})
 		return
 	}
 	if tcb.keepaliveProbes >= c.t.cfg.KeepaliveCount {
@@ -99,7 +99,7 @@ func (c *Conn) keepaliveExpired() {
 		seq: tcb.sndNxt - 1, flags: flagACK,
 	}
 	c.queueSend(probe)
-	c.enqueue(actSetTimer{which: timerKeepalive, d: c.t.cfg.KeepaliveIdle})
+	c.enqueue(action{kind: actSetTimer, which: timerKeepalive, d: c.t.cfg.KeepaliveIdle})
 }
 
 // emit externalizes one segment: view its packet over the payload (a

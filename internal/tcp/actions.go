@@ -10,72 +10,57 @@ import (
 // the corresponding actions and queues them onto the connection's to_do
 // queue"; the executor in conn.go then performs them one at a time.
 // Actions are designed not to wait; anything that must happen later is
-// expressed by starting a timer or queueing another action. kind is the
-// constructor's row in the one table of action names.
-type action interface {
-	kind() telemetry.ActKind
-}
-
-// actProcessData carries an internalized incoming segment to the Receive
-// module (the paper's Process_Data).
-type actProcessData struct {
-	seg *segment
-}
-
-// actSendSegment carries a fully-formed outgoing segment to the Action
-// module for externalization (the paper's Send_Segment). A data segment
-// brings the packet the Send module copied its payload into — the single
-// copy of the send path — on its first transmission and on every later
-// one; a payload-less segment goes out through the endpoint's scratch
-// packet. Enqueue it with Conn.queueSend, which counts it on the segment.
-type actSendSegment struct {
-	seg *segment
-}
-
-// actUserData delivers in-sequence data to the user (the paper's
-// User_Data).
-type actUserData struct {
-	data []byte
-}
-
-// actUserError delivers an error (reset, timeout) to the user.
-type actUserError struct {
-	err error
-}
-
-// actSetTimer starts one of the connection's timers (Set_Timer).
-type actSetTimer struct {
+// expressed by starting a timer or queueing another action.
+//
+// The datatype is one flat tagged value: kind is the constructor — its
+// row in telemetry.ActKind, the one table of Fig. 8 names — and each
+// constructor reads only its own operands, listed below. A value, not an
+// interface, so that queueing an action never allocates.
+//
+//	Process_Data      seg    an internalized incoming segment, for the
+//	                         Receive module
+//	Send_Segment      seg    a fully-formed outgoing segment, for the
+//	                         Action module to externalize; a data segment
+//	                         brings the packet the Send module copied its
+//	                         payload into — the single copy of the send
+//	                         path — on its first transmission and on every
+//	                         later one, a payload-less segment goes out
+//	                         through the endpoint's scratch packet. Enqueue
+//	                         it with Conn.queueSend, which counts it on the
+//	                         segment.
+//	User_Data         seg    a segment whose text, seg.data, is next in
+//	                         sequence, for the user
+//	User_Error        err    a reset or timeout, for the user
+//	Set_Timer         which, d
+//	Clear_Timer       which
+//	Timer_Expiration  which  enqueued by the timer's expiration; the State
+//	                         and Resend modules act on it synchronously
+//	Maybe_Send               ask the Send module to segmentize whatever the
+//	                         window now permits
+//	Complete_Open     err    unblock a user waiting in Open
+//	Complete_Close    err    unblock a user waiting in Close
+//	Peer_Closed              report the peer's FIN to the user
+//	Delete_TCB               remove the connection from the demux table
+type action struct {
+	kind  telemetry.ActKind
 	which timerID
 	d     sim.Duration
+	seg   *segment
+	err   error
 }
 
-// actClearTimer cancels one of the connection's timers (Clear_Timer).
-type actClearTimer struct {
-	which timerID
-}
-
-// actTimerExpired is enqueued by a timer's handler thread; the State and
-// Resend modules act on it synchronously (Timer_Expiration).
-type actTimerExpired struct {
-	which timerID
-}
-
-// actMaybeSend asks the Send module to segmentize whatever the window
-// now permits.
-type actMaybeSend struct{}
-
-// actCompleteOpen unblocks a user waiting in Open.
-type actCompleteOpen struct {
-	err error
-}
-
-// actCompleteClose unblocks a user waiting in Close.
-type actCompleteClose struct {
-	err error
-}
-
-// actPeerClosed reports the peer's FIN to the user.
-type actPeerClosed struct{}
-
-// actDeleteTCB removes the connection from the endpoint's demux table.
-type actDeleteTCB struct{}
+// The constructors, under the names the modules use.
+const (
+	actProcessData   = telemetry.ActProcessData
+	actSendSegment   = telemetry.ActSendSegment
+	actUserData      = telemetry.ActUserData
+	actUserError     = telemetry.ActUserError
+	actSetTimer      = telemetry.ActSetTimer
+	actClearTimer    = telemetry.ActClearTimer
+	actTimerExpired  = telemetry.ActTimerExpired
+	actMaybeSend     = telemetry.ActMaybeSend
+	actCompleteOpen  = telemetry.ActCompleteOpen
+	actCompleteClose = telemetry.ActCompleteClose
+	actPeerClosed    = telemetry.ActPeerClosed
+	actDeleteTCB     = telemetry.ActDeleteTCB
+)

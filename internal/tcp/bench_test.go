@@ -13,19 +13,22 @@ import (
 )
 
 // benchConn builds an established connection over the fake network and
-// returns a feeder that injects consecutive in-order data segments.
+// returns a feeder that injects consecutive in-order data segments — in
+// one reused segment, as TCP.handler internalizes every arrival into one.
 func benchConn(s *sim.Scheduler, cfg Config) (c *Conn, feed func(data []byte)) {
-	_, c, _ = harness(s, StateEstab, cfg)
+	_, c, fn := harness(s, StateEstab, cfg)
+	fn.discard = true
 	c.handler = Handler{Data: func(c *Conn, d []byte) {}}
 	next := c.tcb.rcvNxt
+	sg := new(segment)
 	feed = func(data []byte) {
-		sg := &segment{
+		*sg = segment{
 			srcPort: 80, dstPort: 4000,
 			seq: next, ack: c.tcb.sndUna, flags: flagACK,
 			wnd: 4096, data: data,
 		}
 		next += seq(len(data))
-		c.enqueue(actProcessData{seg: sg})
+		c.enqueue(action{kind: actProcessData, seg: sg})
 		c.run()
 	}
 	return c, feed
@@ -36,6 +39,7 @@ func benchSegments(b *testing.B, cfg Config) {
 	s.Run(func() {
 		_, feed := benchConn(s, cfg)
 		data := make([]byte, 1000) // one MSS on the fake network
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			feed(data)
@@ -73,8 +77,8 @@ func BenchmarkReceiveSegment(b *testing.B) {
 // action queue: segmentize and emit one MSS of queued data (the
 // single-copy send path), then take the acknowledgment that retires the
 // segment to the free list. The lower layer discards, so what is counted
-// is the stack's own: 1 alloc/op (16 B), the boxed Set_Timer action of
-// the re-arm — 7 (432 B) when the arm forked Fig. 11's thread.
+// is the stack's own: 0 allocs/op — 1 (16 B) while the re-arm's Set_Timer
+// was a boxed action, 7 (432 B) when the arm forked Fig. 11's thread.
 func BenchmarkSendSegment(b *testing.B) {
 	s := sim.New(sim.Config{})
 	s.Run(func() {
@@ -86,10 +90,10 @@ func BenchmarkSendSegment(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.tcb.queuePush(data)
-			c.enqueue(actMaybeSend{})
+			c.enqueue(action{kind: actMaybeSend})
 			c.run()
 			ack.ack = c.tcb.sndNxt
-			c.enqueue(actProcessData{seg: ack})
+			c.enqueue(action{kind: actProcessData, seg: ack})
 			c.run()
 			if i%1024 == 1023 {
 				s.Yield() // the cleared timers' stand-ins leave the run queue
@@ -106,7 +110,7 @@ func BenchmarkActionQueue(b *testing.B) {
 		_, c, _ := harness(s, StateEstab, Config{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.enqueue(actClearTimer{which: timerDelayedAck})
+			c.enqueue(action{kind: actClearTimer, which: timerDelayedAck})
 			c.run()
 		}
 	})

@@ -195,17 +195,17 @@ func (c *Conn) run() {
 
 // perform executes one action. Dispatch order mirrors Fig. 8.
 func (c *Conn) perform(a action) {
-	switch a := a.(type) {
+	switch a.kind {
 	case actProcessData:
 		c.receiveSegment(a.seg)
 	case actSendSegment:
 		c.emit(a.seg)
 	case actUserData:
-		c.note(evDelivered, int64(len(a.data)), 0)
+		c.note(evDelivered, int64(len(a.seg.data)), 0)
 		if c.handler.Data != nil {
-			c.handler.Data(c, a.data)
+			c.handler.Data(c, a.seg.data)
 		} else {
-			c.bufferData(a.data)
+			c.bufferData(a.seg)
 		}
 	case actUserError:
 		c.failConnection(a.err)
@@ -265,7 +265,7 @@ func (c *Conn) failConnection(err error) {
 	if c.handler.Error != nil {
 		c.handler.Error(c, err)
 	}
-	c.enqueue(actDeleteTCB{})
+	c.enqueue(action{kind: actDeleteTCB})
 }
 
 // deleteTCB clears timers, removes the connection from the demux map,
@@ -338,7 +338,9 @@ func (c *Conn) leave(e entry) {
 // be after Write returns (up to SendBufferLimit bytes wait behind a
 // closed window). Nothing tells the caller when that has happened short
 // of Close returning, so hand Write a slice you will not write to again
-// while the connection lives.
+// while the connection lives. That rules out the slice a Data upcall was
+// given, which is borrowed from the received frame and overwritten when
+// the upcall returns: a handler that echoes writes a copy.
 func (c *Conn) Write(data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -363,7 +365,7 @@ func (c *Conn) Write(data []byte) error {
 		e := c.enter(enterWrite, n)
 		c.tcb.queuePush(data[:n])
 		c.t.memCharge(n)
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.leave(e)
 		data = data[n:]
 	}

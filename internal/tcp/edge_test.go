@@ -223,7 +223,7 @@ func TestTortureAllFaultsAtOnce(t *testing.T) {
 		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler {
 			return tcp.Handler{Data: func(c *tcp.Conn, d []byte) {
 				atob.Write(d)
-				c.Write(d) // echo back through the same storm
+				c.Write(append([]byte(nil), d...)) //foxvet:boundary-copy echo back through the same storm: Data only borrows d, and Write queues by reference
 			}}
 		})
 		conn, err := a.TCP.Open(b.A, 80, tcp.Handler{

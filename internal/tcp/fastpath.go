@@ -36,14 +36,14 @@ func (c *Conn) fastPathIn(sg *segment) bool {
 	if sg.ack == tcb.sndUna &&
 		len(tcb.outOfOrder) == 0 &&
 		uint32(len(sg.data)) <= tcb.rcvWnd {
-		c.deliver(sg.data)
+		c.deliver(sg)
 		tcb.unackedSegs++
 		if tcb.unackedSegs >= 2 || !c.t.cfg.delayedAcks() {
 			tcb.ackNow = true
 		} else {
 			tcb.ackPending = true
 		}
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		return true
 	}
 	return false

@@ -145,7 +145,7 @@ func (l *Listener) evictOldestHalfOpen() {
 	}
 	victim := l.halfOpen[0]
 	victim.note(evSynQueueOverflow, 0, 0)
-	victim.enqueue(actDeleteTCB{})
+	victim.enqueue(action{kind: actDeleteTCB})
 	victim.run()
 }
 

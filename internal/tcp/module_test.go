@@ -55,6 +55,16 @@ func (f *fakeNet) Send(dst protocol.Address, pkt *basis.Packet) error {
 	return nil
 }
 
+// unmarshal is segment.unmarshal into a fresh segment, the form most
+// tests want.
+func unmarshal(pkt *basis.Packet, pseudo uint16, verify bool) (*segment, error) {
+	sg := new(segment)
+	if err := sg.unmarshal(pkt, pseudo, verify); err != nil {
+		return nil, err
+	}
+	return sg, nil
+}
+
 func (f *fakeNet) take() []*segment {
 	s := f.sent
 	f.sent = nil
@@ -92,7 +102,7 @@ func inject(c *Conn, sg *segment) {
 	if sg.srcPort == 0 {
 		sg.srcPort, sg.dstPort = 80, 4000
 	}
-	c.enqueue(actProcessData{seg: sg})
+	c.enqueue(action{kind: actProcessData, seg: sg})
 	c.run()
 }
 
@@ -355,7 +365,7 @@ func TestSendSegmentsAtMSS(t *testing.T) {
 		// Nagle off so the sub-MSS tail flows immediately.
 		_, c, fn := harness(s, StateEstab, Config{Nagle: Disable})
 		c.tcb.queuePush(make([]byte, 2500))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		sent := fn.take()
 		if len(sent) != 3 {
@@ -387,7 +397,7 @@ func TestSendRespectsOfferedWindow(t *testing.T) {
 		// holds them until the ack.
 		c.tcb.sndWnd = 1500
 		c.tcb.queuePush(make([]byte, 5000))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		var sentBytes int
 		for _, sg := range fn.take() {
@@ -413,7 +423,7 @@ func TestSendRespectsCongestionWindow(t *testing.T) {
 		_, c, fn := harness(s, StateEstab, Config{})
 		c.tcb.cwnd = 1000 // slow start: one MSS
 		c.tcb.queuePush(make([]byte, 5000))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		var sentBytes int
 		for _, sg := range fn.take() {
@@ -429,7 +439,7 @@ func TestNagleHoldsTrailingSmallSegment(t *testing.T) {
 	inSim(t, func(s *sim.Scheduler) {
 		_, c, fn := harness(s, StateEstab, Config{})
 		c.tcb.queuePush(make([]byte, 1100)) // one MSS + 100 bytes
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		sent := fn.take()
 		if len(sent) != 1 || len(sent[0].data) != 1000 {
@@ -448,7 +458,7 @@ func TestNagleDisabledSendsImmediately(t *testing.T) {
 	inSim(t, func(s *sim.Scheduler) {
 		_, c, fn := harness(s, StateEstab, Config{Nagle: Disable})
 		c.tcb.queuePush(make([]byte, 1100))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		sent := fn.take()
 		if len(sent) != 2 {
@@ -466,7 +476,7 @@ func TestSendSWSAvoidance(t *testing.T) {
 		c.tcb.sndNxt += 500
 		c.tcb.sndWnd = 600
 		c.tcb.queuePush(make([]byte, 5000))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		if sent := fn.take(); len(sent) != 0 {
 			t.Fatalf("silly window send of %d segments", len(sent))
@@ -482,7 +492,7 @@ func TestSendIdleOverridesSWS(t *testing.T) {
 		// other.
 		c.tcb.sndWnd = 100
 		c.tcb.queuePush(make([]byte, 5000))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		sent := fn.take()
 		if len(sent) != 1 || len(sent[0].data) != 100 {
@@ -496,7 +506,7 @@ func TestZeroWindowArmsPersist(t *testing.T) {
 		_, c, _ := harness(s, StateEstab, Config{})
 		c.tcb.sndWnd = 0
 		c.tcb.queuePush(make([]byte, 100))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		if !c.tcb.timerSet[timerPersist] {
 			t.Fatal("persist timer not armed on zero window")
@@ -509,7 +519,7 @@ func TestPersistProbeSendsOneByte(t *testing.T) {
 		_, c, fn := harness(s, StateEstab, Config{PersistInterval: 100 * time.Millisecond})
 		c.tcb.sndWnd = 0
 		c.tcb.queuePush(make([]byte, 100))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		s.Sleep(150 * time.Millisecond)
 		sent := fn.take()
@@ -566,7 +576,7 @@ func TestResendTimeoutRetransmitsAndBacksOff(t *testing.T) {
 		_, c, fn := harness(s, StateEstab, Config{InitialRTO: 100 * time.Millisecond, MinRTO: 100 * time.Millisecond})
 		c.tcb.rto = 100 * time.Millisecond
 		c.tcb.queuePush(make([]byte, 500))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		fn.take() // original transmission
 		s.Sleep(150 * time.Millisecond)
@@ -594,7 +604,7 @@ func TestResendKarnNoSampleFromRetransmit(t *testing.T) {
 		_, c, _ := harness(s, StateEstab, Config{InitialRTO: 50 * time.Millisecond})
 		c.tcb.rto = 50 * time.Millisecond
 		c.tcb.queuePush(make([]byte, 500))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		s.Sleep(80 * time.Millisecond) // force one retransmission
 		srttBefore := c.tcb.srtt
@@ -619,7 +629,7 @@ func TestResendUserTimeoutFailsConnection(t *testing.T) {
 		c.handler = Handler{Error: func(c *Conn, err error) { gotErr = err }}
 		c.tcb.queuePush(make([]byte, 10))
 		c.tcb.lastProgress = s.Now()
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		s.Sleep(time.Minute)
 		if gotErr != ErrProgressTimeout {
@@ -635,7 +645,7 @@ func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
 	inSim(t, func(s *sim.Scheduler) {
 		ep, c, fn := harness(s, StateEstab, Config{})
 		c.tcb.queuePush(make([]byte, 3000))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		fn.take()
 		for i := 0; i < 3; i++ {
@@ -660,7 +670,7 @@ func TestSlowStartGrowsCwndPerAck(t *testing.T) {
 		c.tcb.cwnd = 1000
 		c.tcb.ssthresh = 0xffff
 		c.tcb.queuePush(make([]byte, 1000))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		inject(c, &segment{seq: 5001, ack: 2001, flags: flagACK, wnd: 4096})
 		if c.tcb.cwnd != 2000 {
@@ -675,7 +685,7 @@ func TestCongestionAvoidanceGrowsLinearly(t *testing.T) {
 		c.tcb.cwnd = 4000
 		c.tcb.ssthresh = 2000 // past the threshold: additive increase
 		c.tcb.queuePush(make([]byte, 1000))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		inject(c, &segment{seq: 5001, ack: 2001, flags: flagACK, wnd: 4096})
 		if c.tcb.cwnd != 4250 { // + mss*mss/cwnd = 1000*1000/4000
@@ -844,7 +854,7 @@ func TestTransferAcrossSequenceWrap(t *testing.T) {
 
 		// Send 4000 bytes: the sequence space crosses zero.
 		tcb.queuePush(make([]byte, 4000))
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		c.run()
 		sent := fn.take()
 		var total uint32

@@ -190,7 +190,7 @@ func (c *Conn) observeEnd(a action, sp *span) {
 		return
 	}
 	now := int64(t.s.Now())
-	tl.Prof.Record(a.kind(), now-sp.vstart, time.Since(sp.wstart).Nanoseconds())
+	tl.Prof.Record(a.kind, now-sp.vstart, time.Since(sp.wstart).Nanoseconds())
 	sr := c.watch.series
 	if sr == nil || !sr.Due(now, tl.SampleEveryNS()) {
 		return
@@ -575,23 +575,7 @@ func describeEvent(kind stats.EventKind, a, b int64) string {
 
 func init() { stats.DescribeEvents(describeEvent) }
 
-// --- action kinds ----------------------------------------------------------
-
-// Each constructor of the tcp_action datatype (actions.go) binds to its
-// row of telemetry.ActKind, the one table of Fig. 8 names: the journal,
-// the trace and the profile all label actions from it.
-func (actProcessData) kind() telemetry.ActKind   { return telemetry.ActProcessData }
-func (actSendSegment) kind() telemetry.ActKind   { return telemetry.ActSendSegment }
-func (actUserData) kind() telemetry.ActKind      { return telemetry.ActUserData }
-func (actUserError) kind() telemetry.ActKind     { return telemetry.ActUserError }
-func (actSetTimer) kind() telemetry.ActKind      { return telemetry.ActSetTimer }
-func (actClearTimer) kind() telemetry.ActKind    { return telemetry.ActClearTimer }
-func (actTimerExpired) kind() telemetry.ActKind  { return telemetry.ActTimerExpired }
-func (actMaybeSend) kind() telemetry.ActKind     { return telemetry.ActMaybeSend }
-func (actCompleteOpen) kind() telemetry.ActKind  { return telemetry.ActCompleteOpen }
-func (actCompleteClose) kind() telemetry.ActKind { return telemetry.ActCompleteClose }
-func (actPeerClosed) kind() telemetry.ActKind    { return telemetry.ActPeerClosed }
-func (actDeleteTCB) kind() telemetry.ActKind     { return telemetry.ActDeleteTCB }
+// --- action names ---------------------------------------------------------
 
 // timerActionNames holds the labels of the three timer actions, which
 // carry the timer's name: "Set_Timer(rexmit)". Built once so labelling
@@ -607,21 +591,15 @@ var timerActionNames = func() (names [telemetry.NumActKinds][numTimers]string) {
 
 // actionName is an action's label in the journal and the trace.
 func actionName(a action) string {
-	var which timerID
-	switch a := a.(type) {
-	case actSetTimer:
-		which = a.which
-	case actClearTimer:
-		which = a.which
-	case actTimerExpired:
-		which = a.which
+	switch a.kind {
+	case actSetTimer, actClearTimer, actTimerExpired:
 	default:
-		return a.kind().String()
+		return a.kind.String()
 	}
-	if which < 0 || which >= numTimers {
-		return a.kind().String() + "(invalid)"
+	if a.which < 0 || a.which >= numTimers {
+		return a.kind.String() + "(invalid)"
 	}
-	return timerActionNames[a.kind()][which]
+	return timerActionNames[a.kind][a.which]
 }
 
 func pick(names []string, i int64) string {

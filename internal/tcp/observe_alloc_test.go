@@ -24,7 +24,7 @@ func TestUnobservedDoorNoAllocs(t *testing.T) {
 			t.Fatalf("default endpoint observes its door (door=%v, watch=%v)", ep.obs.door, c.watch)
 		}
 		allocs := testing.AllocsPerRun(1000, func() {
-			c.enqueue(actMaybeSend{})
+			c.enqueue(action{kind: actMaybeSend})
 			c.run()
 		})
 		if allocs != 0 {

@@ -19,7 +19,7 @@ func fill(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 // write queues data and runs the Send module, as Conn.Write does.
 func write(c *Conn, data []byte) {
 	c.tcb.queuePush(data)
-	c.enqueue(actMaybeSend{})
+	c.enqueue(action{kind: actMaybeSend})
 	c.run()
 }
 
@@ -35,10 +35,10 @@ func TestQueuedRetransmissionKeepsItsBuffer(t *testing.T) {
 		name    string
 		trigger func(c *Conn)
 	}{
-		{"RTO", func(c *Conn) { c.enqueue(actTimerExpired{which: timerRexmit}) }},
+		{"RTO", func(c *Conn) { c.enqueue(action{kind: actTimerExpired, which: timerRexmit}) }},
 		{"fast retransmit", func(c *Conn) {
 			for i := 0; i < 3; i++ {
-				c.enqueue(actProcessData{seg: &segment{srcPort: 80, dstPort: 4000,
+				c.enqueue(action{kind: actProcessData, seg: &segment{srcPort: 80, dstPort: 4000,
 					seq: 5001, ack: 1001, flags: flagACK, wnd: 4096}})
 			}
 		}},
@@ -62,9 +62,9 @@ func TestQueuedRetransmissionKeepsItsBuffer(t *testing.T) {
 				// One drain: trigger, then the ACK covering A, then the
 				// Maybe_Send a user Write would have queued meanwhile.
 				tc.trigger(c)
-				c.enqueue(actProcessData{seg: &segment{srcPort: 80, dstPort: 4000,
+				c.enqueue(action{kind: actProcessData, seg: &segment{srcPort: 80, dstPort: 4000,
 					seq: 5001, ack: 2001, flags: flagACK, wnd: 4096}})
-				c.enqueue(actMaybeSend{})
+				c.enqueue(action{kind: actMaybeSend})
 				c.tcb.cwnd = 1 << 20
 				c.run()
 
@@ -107,7 +107,7 @@ func TestDeleteTCBReturnsUnackedSegments(t *testing.T) {
 		if n := c.tcb.rexmitQ.Len(); n != 3 {
 			t.Fatalf("rexmitQ holds %d segments, want 3", n)
 		}
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actDeleteTCB})
 		c.run()
 		if !c.tcb.rexmitQ.Empty() {
 			t.Fatalf("rexmitQ holds %d segments after deleteTCB", c.tcb.rexmitQ.Len())
@@ -141,10 +141,8 @@ func TestSegPoolBounded(t *testing.T) {
 // Dynamic twin of the //foxvet:hotpath markers on the send path. The
 // cycles below go through the real door, so they do (re)arm the
 // retransmission timer — live: the connection's own timer is re-armed in
-// place and forks nothing — and a Set_Timer allocates its boxed two-word
-// action and nothing else. That cost is measured alone first; each cycle
-// must then cost exactly its Set_Timers and nothing for a packet or a
-// segment.
+// place and forks nothing — and queue their actions, which are plain
+// values. Each cycle must cost nothing: no packet, no segment, no action.
 func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 	inSim(t, func(s *sim.Scheduler) {
 		ep, c, fn := harness(s, StateEstab, Config{})
@@ -153,7 +151,7 @@ func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 		ack := &segment{srcPort: 80, dstPort: 4000, seq: 5001, flags: flagACK, wnd: 4096}
 		ackTo := func(n seq) {
 			ack.ack = n
-			c.enqueue(actProcessData{seg: ack})
+			c.enqueue(action{kind: actProcessData, seg: ack})
 			c.run()
 		}
 		// Two segments stay in flight so the queue is never empty.
@@ -161,16 +159,15 @@ func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 		write(c, data)
 
 		setTimer := testing.AllocsPerRun(200, func() {
-			c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
+			c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: c.currentRTO()})
 			c.run()
 		})
-		if setTimer > 1 {
-			t.Errorf("a Set_Timer allocates %.0f times, want at most its boxed action", setTimer)
+		if setTimer != 0 {
+			t.Errorf("a Set_Timer allocates %.0f times, want 0", setTimer)
 		}
 
 		// Steady state: Write → sendData → emit, then the oldest segment
-		// is acknowledged → ackAdvance → free list. One Set_Timer (the
-		// re-arm in ackAdvance).
+		// is acknowledged → ackAdvance → free list.
 		frames := fn.frames
 		steady := testing.AllocsPerRun(200, func() {
 			write(c, data)
@@ -179,30 +176,28 @@ func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 		if fn.frames-frames != 201 {
 			t.Fatalf("steady cycle sent %d frames in 201 runs", fn.frames-frames)
 		}
-		if steady != setTimer {
-			t.Errorf("steady-state cycle allocates %.0f times, its one Set_Timer %.0f: the difference is packet or segment memory", steady, setTimer)
+		if steady != 0 {
+			t.Errorf("steady-state cycle allocates %.0f times, want 0", steady)
 		}
 
 		// Retransmission by timeout: resendTimeout → emit in place.
 		frames = fn.frames
 		rto := testing.AllocsPerRun(200, func() {
-			c.enqueue(actTimerExpired{which: timerRexmit})
+			c.enqueue(action{kind: actTimerExpired, which: timerRexmit})
 			c.run()
 		})
 		if fn.frames-frames != 201 {
 			t.Fatalf("RTO cycle sent %d frames in 201 runs", fn.frames-frames)
 		}
-		if rto != setTimer {
-			t.Errorf("a timeout retransmission allocates %.0f times, its one Set_Timer %.0f", rto, setTimer)
+		if rto != 0 {
+			t.Errorf("a timeout retransmission allocates %.0f times, want 0", rto)
 		}
 
 		// Fast retransmit: three duplicate ACKs → dupAck → emit in
-		// place (Set_Timer). The rest of the round rebuilds the
-		// precondition: an ACK of everything (Clear_Timer), then two new
-		// segments (Set_Timer: the timer was clear), an ACK of the first
-		// — snd_una must pass the recovery point before dupAck fires
-		// again — (Set_Timer: the re-arm) and a third to keep two in
-		// flight.
+		// place. The rest of the round rebuilds the precondition: an ACK
+		// of everything, then two new segments, an ACK of the first —
+		// snd_una must pass the recovery point before dupAck fires again
+		// — and a third to keep two in flight.
 		c.tcb.backoff = 0
 		frames = fn.frames
 		fast := testing.AllocsPerRun(200, func() {
@@ -218,8 +213,8 @@ func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 		if fn.frames-frames != 201*4 {
 			t.Fatalf("fast-retransmit round sent %d frames in 201 runs, want 4 each", fn.frames-frames)
 		}
-		if fast != 3*setTimer {
-			t.Errorf("a fast-retransmit round allocates %.0f times, its three Set_Timers %.0f", fast, 3*setTimer)
+		if fast != 0 {
+			t.Errorf("a fast-retransmit round allocates %.0f times, want 0", fast)
 		}
 		if ep.Stats().Retransmits != 2*201 {
 			t.Fatalf("Retransmits = %d, want one per RTO and fast-retransmit run", ep.Stats().Retransmits)

@@ -27,9 +27,13 @@ type recvState struct {
 	eof     bool // peer FIN consumed, buffer exhaustion means EOF
 }
 
-// bufferData stores in-order data for Read and closes the window
+// bufferData stores sg's in-order text for Read and closes the window
 // accordingly. Called by the executor when no Data upcall is installed.
-func (c *Conn) bufferData(data []byte) {
+// The buffer holds the text by reference until Read copies it out — the
+// receive path's one copy — so it keeps sg's frame.
+func (c *Conn) bufferData(sg *segment) {
+	sg.keep()
+	data := sg.data
 	c.recv.buf.PushBack(data)
 	c.recv.buffered += len(data)
 	c.recv.charged += len(data)
@@ -103,7 +107,7 @@ func (c *Conn) finishRead(n int) {
 	threshold := min(c.tcb.mss32(), sat32(c.t.cfg.InitialWindow/2))
 	if c.tcb.rcvWnd >= c.tcb.lastAdvWnd+threshold {
 		c.tcb.ackNow = true
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 	}
 }
 

@@ -53,24 +53,24 @@ func (c *Conn) rcvTimeWait(sg *segment) {
 		return
 	}
 	c.tcb.ackNow = true
-	c.enqueue(actMaybeSend{})
-	c.enqueue(actSetTimer{which: timerTimeWait, d: c.twoMSL()})
+	c.enqueue(action{kind: actMaybeSend})
+	c.enqueue(action{kind: actSetTimer, which: timerTimeWait, d: c.twoMSL()})
 }
 
 // rcvListen: first check for an RST, second check for an ACK, third
 // check for a SYN (RFC 793 p. 64).
 func (c *Conn) rcvListen(sg *segment) {
 	if sg.has(flagRST) {
-		c.enqueue(actDeleteTCB{}) // this embryonic connection only
+		c.enqueue(action{kind: actDeleteTCB}) // this embryonic connection only
 		return
 	}
 	if sg.has(flagACK) {
 		c.sendRstRaw(sg.ack, 0, false)
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actDeleteTCB})
 		return
 	}
 	if !sg.has(flagSYN) {
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actDeleteTCB})
 		return
 	}
 	c.statePassiveSyn(sg)
@@ -78,7 +78,7 @@ func (c *Conn) rcvListen(sg *segment) {
 	// queues it for processing once ESTABLISHED. We keep the SYN's
 	// payload on the out-of-order queue so the normal drain delivers it.
 	if len(sg.data) > 0 || sg.has(flagFIN) {
-		dataSeg := &segment{seq: sg.seq + 1, flags: sg.flags &^ flagSYN, data: sg.data}
+		dataSeg := &segment{seq: sg.seq + 1, flags: sg.flags &^ flagSYN, data: sg.data, lent: sg.lent}
 		c.insertOutOfOrder(dataSeg)
 	}
 }
@@ -99,7 +99,7 @@ func (c *Conn) rcvSynSent(sg *segment) {
 	if sg.has(flagRST) {
 		if ackOK {
 			c.note(evRstIn, 0, 0)
-			c.enqueue(actUserError{err: ErrRefused})
+			c.enqueue(action{kind: actUserError, err: ErrRefused})
 		}
 		return
 	}
@@ -124,11 +124,11 @@ func (c *Conn) rcvSynSent(sg *segment) {
 		if len(sg.data) > 0 || sg.has(flagFIN) {
 			// Text or FIN riding the SYN,ACK: the SYN consumed one
 			// sequence number, so the data starts at seq+1.
-			dataSeg := &segment{seq: sg.seq + 1, ack: sg.ack, flags: sg.flags &^ flagSYN, wnd: sg.wnd, data: sg.data}
+			dataSeg := &segment{seq: sg.seq + 1, ack: sg.ack, flags: sg.flags &^ flagSYN, wnd: sg.wnd, data: sg.data, lent: sg.lent}
 			c.processText(dataSeg)
 			c.checkFin(dataSeg)
 		}
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		return
 	}
 	// Simultaneous open: our SYN and theirs crossed.
@@ -189,7 +189,7 @@ func (c *Conn) rcvGeneral(sg *segment) {
 	}
 	c.processText(sg) // seventh: the segment text
 	c.checkFin(sg)    // eighth: the FIN bit
-	c.enqueue(actMaybeSend{})
+	c.enqueue(action{kind: actMaybeSend})
 }
 
 // checkSequence is the acceptability test of RFC 793 p. 69, followed by
@@ -246,12 +246,12 @@ func (c *Conn) handleRst() {
 	case StateSynPassive:
 		// Passive open returns quietly to LISTEN (the listener is still
 		// installed; only this embryonic connection dies).
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actDeleteTCB})
 	case StateSynActive, StateEstab, StateFinWait1, StateFinWait2, StateCloseWait:
-		c.enqueue(actUserError{err: ErrReset})
+		c.enqueue(action{kind: actUserError, err: ErrReset})
 	case StateClosing, StateLastAck:
-		c.enqueue(actCompleteClose{})
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actCompleteClose})
+		c.enqueue(action{kind: actDeleteTCB})
 	case StateTimeWait:
 		// RFC 1337: ignore resets in TIME-WAIT so a stray RST cannot
 		// assassinate the quarantine.
@@ -298,7 +298,7 @@ func (c *Conn) processAck(sg *segment) bool {
 	case seqGT(sg.ack, tcb.sndNxt):
 		// Ack of data never sent: ack back, drop.
 		tcb.ackNow = true
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 		return false
 	case seqLT(sg.ack, tcb.sndUna) && seqSub(tcb.sndUna, sg.ack) > tcb.maxWnd:
 		// RFC 5961 §5.2: an ACK older than snd_una by more than the
@@ -333,8 +333,8 @@ func (c *Conn) updateSendWindow(sg *segment) {
 			tcb.maxWnd = tcb.sndWnd
 		}
 		if opened {
-			c.enqueue(actClearTimer{which: timerPersist})
-			c.enqueue(actMaybeSend{})
+			c.enqueue(action{kind: actClearTimer, which: timerPersist})
+			c.enqueue(action{kind: actMaybeSend})
 		}
 	}
 }
@@ -352,7 +352,7 @@ func (c *Conn) processText(sg *segment) {
 	}
 	tcb := c.tcb
 	if sg.seq == tcb.rcvNxt {
-		c.deliver(sg.data)
+		c.deliver(sg)
 		c.drainOutOfOrder()
 		tcb.unackedSegs++
 		if tcb.unackedSegs >= 2 || !c.t.cfg.delayedAcks() {
@@ -368,12 +368,15 @@ func (c *Conn) processText(sg *segment) {
 	}
 }
 
-// deliver advances rcv_nxt over data and queues its delivery to the user.
+// deliver advances rcv_nxt over sg's text, which starts there, and queues
+// its delivery to the user. Nothing touches sg.data between here and the
+// User_Data action: the action carries the segment, not a slice, so that
+// a Read buffer can still keep the frame the text is borrowed from.
 //
 //foxvet:hotpath
-func (c *Conn) deliver(data []byte) {
-	c.tcb.rcvNxt += seq(len(data))
-	c.enqueue(actUserData{data: data})
+func (c *Conn) deliver(sg *segment) {
+	c.tcb.rcvNxt += seq(len(sg.data))
+	c.enqueue(action{kind: actUserData, seg: sg})
 }
 
 // insertOutOfOrder files a segment on the out-of-order queue, sorted by
@@ -381,7 +384,8 @@ func (c *Conn) deliver(data []byte) {
 // (Config.ReassemblyLimit, counting payload plus per-segment overhead);
 // at the cap the newest — highest-sequence — segments are evicted, which
 // preserves head progress: the hole closest to rcv_nxt keeps its filler,
-// so a gap bomb costs the attacker the far end of its own spray.
+// so a gap bomb costs the attacker the far end of its own spray. The queue
+// outlives the upcall that brought sg, so what it files is owned.
 func (c *Conn) insertOutOfOrder(sg *segment) {
 	oo := c.tcb.outOfOrder
 	at := len(oo)
@@ -394,6 +398,7 @@ func (c *Conn) insertOutOfOrder(sg *segment) {
 			break
 		}
 	}
+	sg = c.t.own(sg)
 	oo = append(oo, nil)
 	copy(oo[at+1:], oo[at:])
 	oo[at] = sg
@@ -426,9 +431,11 @@ func (c *Conn) drainOutOfOrder() {
 		tcb.outOfOrder[n] = nil
 		tcb.outOfOrder = tcb.outOfOrder[:n]
 		c.oooRelease(q)
-		end := q.seq + seq(len(q.data))
-		if seqGT(end, tcb.rcvNxt) {
-			c.deliver(q.data[seqSub(tcb.rcvNxt, q.seq):])
+		if end := q.seq + seq(len(q.data)); seqGT(end, tcb.rcvNxt) {
+			// Trim what an earlier segment already delivered.
+			q.data = q.data[seqSub(tcb.rcvNxt, q.seq):]
+			q.seq = tcb.rcvNxt
+			c.deliver(q)
 		}
 		if q.has(flagFIN) {
 			c.checkFin(q)
@@ -461,7 +468,7 @@ func (c *Conn) checkFin(sg *segment) {
 	tcb.rcvNxt++
 	tcb.ackNow = true
 	c.statePeerFin()
-	c.enqueue(actMaybeSend{})
+	c.enqueue(action{kind: actMaybeSend})
 }
 
 // sendChallengeAck answers a suspicious in-window probe (RFC 5961): an
@@ -477,7 +484,7 @@ func (c *Conn) sendChallengeAck(reason int64) {
 	}
 	c.note(evChallengeAck, reason, 0)
 	c.tcb.ackNow = true
-	c.enqueue(actMaybeSend{})
+	c.enqueue(action{kind: actMaybeSend})
 }
 
 // sendThrottledAck re-acknowledges an unacceptable (out-of-window)
@@ -495,7 +502,7 @@ func (c *Conn) sendThrottledAck() {
 		return
 	}
 	c.tcb.ackNow = true
-	c.enqueue(actMaybeSend{})
+	c.enqueue(action{kind: actMaybeSend})
 }
 
 // sendRstRaw emits a reset outside the connection's sequence machinery.

@@ -171,7 +171,7 @@ func appendSnapDelta(dst []byte, pre, post *tcbSnap) []byte {
 // the replay audit compares at every drain to prove the reconstructed
 // machine is enqueueing the same work the live machine did.
 func appendActionArgs(dst []byte, a action) []byte {
-	switch a := a.(type) {
+	switch a.kind {
 	case actProcessData:
 		dst = appendSegArgs(dst, a.seg)
 	case actSendSegment:
@@ -180,19 +180,14 @@ func appendActionArgs(dst []byte, a action) []byte {
 		dst = strconv.AppendInt(dst, int64(a.seg.rexmits), 10)
 	case actUserData:
 		dst = append(dst, "len="...)
-		dst = strconv.AppendInt(dst, int64(len(a.data)), 10)
+		dst = strconv.AppendInt(dst, int64(len(a.seg.data)), 10)
 	case actUserError:
 		dst = append(dst, "err="...)
 		dst = append(dst, a.err.Error()...)
 	case actSetTimer:
 		dst = append(dst, "d="...)
 		dst = strconv.AppendInt(dst, int64(a.d), 10)
-	case actCompleteOpen:
-		if a.err != nil {
-			dst = append(dst, "err="...)
-			dst = append(dst, a.err.Error()...)
-		}
-	case actCompleteClose:
+	case actCompleteOpen, actCompleteClose:
 		if a.err != nil {
 			dst = append(dst, "err="...)
 			dst = append(dst, a.err.Error()...)

@@ -203,10 +203,10 @@ func ReplayJournal(recs []flight.Record) (*ReplayResult, error) {
 						mss:     rec.PMSS,
 						data:    make([]byte, plen),
 					}
-					rcn.c.enqueue(actProcessData{seg: sg})
+					rcn.c.enqueue(action{kind: actProcessData, seg: sg})
 				case "Delete_TCB":
 					// Half-open eviction under a SYN flood.
-					rcn.c.enqueue(actDeleteTCB{})
+					rcn.c.enqueue(action{kind: actDeleteTCB})
 				default:
 					div(i, rec.Seq, rec.Conn, "packet-caused %s is not an action a packet can enqueue", rec.Action)
 					continue
@@ -217,7 +217,7 @@ func ReplayJournal(recs []flight.Record) (*ReplayResult, error) {
 					div(i, rec.Seq, rec.Conn, "timer-caused enqueue names unknown timer %d", rec.Timer)
 					continue
 				}
-				rcn.c.enqueue(actTimerExpired{which: which})
+				rcn.c.enqueue(action{kind: actTimerExpired, which: which})
 			}
 			rcn.exp = append(rcn.exp, replayExpect{seq: rec.Seq, action: rec.Action, args: rec.Args})
 
@@ -458,7 +458,7 @@ func (c *Conn) replayUop(rec *flight.Record) error {
 		}
 		c.tcb.queuePush(make([]byte, n))
 		c.t.memCharge(n)
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 	case "read":
 		rem := rec.N
 		for rem > 0 {

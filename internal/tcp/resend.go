@@ -54,12 +54,12 @@ func (c *Conn) ackAdvance(ack seq) {
 	}
 
 	if tcb.rexmitQ.Empty() {
-		c.enqueue(actClearTimer{which: timerRexmit})
+		c.enqueue(action{kind: actClearTimer, which: timerRexmit})
 	} else {
-		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
+		c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: c.currentRTO()})
 	}
 	// Acknowledged data may have opened room in the usable window.
-	c.enqueue(actMaybeSend{})
+	c.enqueue(action{kind: actMaybeSend})
 }
 
 // rttSample folds one round-trip measurement into the smoothed estimator
@@ -127,7 +127,7 @@ func (c *Conn) resendTimeout() {
 	front.sentAt = now
 	c.note(evRexmitTimeout, int64(front.seq), int64(c.currentRTO()))
 	c.queueSend(front)
-	c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
+	c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: c.currentRTO()})
 }
 
 // congestionLoss is the Tahoe reaction to loss: halve ssthresh and fall
@@ -173,7 +173,7 @@ func (c *Conn) dupAck() {
 	front.sentAt = c.t.s.Now()
 	c.note(evFastRexmit, int64(front.seq), 0)
 	c.queueSend(front)
-	c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
+	c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: c.currentRTO()})
 }
 
 // persistTimeout probes a zero window with one byte of data beyond it so
@@ -196,8 +196,8 @@ func (c *Conn) persistTimeout() {
 		tcb.sndNxt++
 		tcb.rexmitQ.PushBack(probe)
 		c.queueSend(probe)
-		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
+		c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: c.currentRTO()})
 	}
 	tcb.backoff++
-	c.enqueue(actSetTimer{which: timerPersist, d: c.persistBackoff()})
+	c.enqueue(action{kind: actSetTimer, which: timerPersist, d: c.persistBackoff()})
 }

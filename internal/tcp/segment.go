@@ -31,8 +31,9 @@ const (
 // segment is the internal form of one TCP segment — what the Action
 // module's internalize produces from wire bytes and externalize consumes
 // to produce wire bytes. The trailing bookkeeping fields serve the Resend
-// module when the segment sits on the retransmission queue, and the
-// endpoint's free list (segPool) when it leaves it.
+// module when the segment sits on the retransmission queue, the
+// endpoint's free list (segPool) when it leaves it, and the receive path's
+// ownership rule (lent).
 type segment struct {
 	srcPort uint16
 	dstPort uint16
@@ -62,6 +63,53 @@ type segment struct {
 	// See TCP.recycle.
 	sends   int
 	retired bool
+
+	// A received segment borrows: data aliases the frame the device lent
+	// to the upcall chain, and lent is that frame's packet. The bytes are
+	// good until TCP.handler returns and not after — whoever holds them
+	// longer calls keep (or TCP.own, for the segment as a whole) first.
+	// nil once kept, and for segments that never borrowed.
+	lent *basis.Packet
+}
+
+// copyBreak is the text length up to which holding a received segment
+// copies its bytes instead of keeping its frame (Linux's rx_copybreak).
+// A frame is MaxFrame bytes whatever it carries, and the reassembly and
+// memory limits count payload: without the break a spray of one-byte
+// segments beyond a hole, or into an unread Read buffer, would pin a
+// kilobyte and a half of frame per byte accounted.
+const copyBreak = 256
+
+// keep makes sg.data safe to hold past the upcall that lent it: the bytes
+// stay sg's — and any sub-slice's holder's — for good. Text longer than
+// copyBreak keeps the frame it arrived in, which leaves the device's pool
+// for the collector: nothing is counted and nothing is ever released.
+// Shorter text moves to a buffer of its own size and the frame goes back.
+func (sg *segment) keep() {
+	if sg.lent == nil {
+		return
+	}
+	if len(sg.data) > copyBreak {
+		sg.lent.Keep()
+	} else {
+		sg.data = append([]byte(nil), sg.data...) //foxvet:boundary-copy copybreak: a short held segment must not pin a whole frame the memory limits do not see
+	}
+	sg.lent = nil
+}
+
+// own returns sg in a form that may be held past the upcall that
+// delivered it: its frame kept, and — when sg is the endpoint's reused
+// receive segment, which the next arrival overwrites — its header cloned.
+// The holders are insertOutOfOrder (and through it the SYN-text holds of
+// rcvListen and rcvSynSent) and TCP.handler for a Process_Data it cannot
+// perform before it returns; bufferData keeps the frame alone.
+func (t *TCP) own(sg *segment) *segment {
+	sg.keep()
+	if sg != &t.rx {
+		return sg
+	}
+	held := *sg
+	return &held
 }
 
 // seqLen is the sequence-space length: data plus one for SYN and FIN.
@@ -146,9 +194,6 @@ func (sg *segment) marshal(pkt *basis.Packet, pseudo uint16, compute bool) {
 // segPoolCap MTU-sized buffers (~100 KB over Ethernet).
 const segPoolCap = 64
 
-// poisonByte is what the race build fills a retired buffer with.
-const poisonByte = 0xA5
-
 // segPool is an endpoint's send-side packet memory: a LIFO free list of
 // retired data segments, each with the MTU-sized packet that held its
 // payload, and the one scratch packet every payload-less segment goes
@@ -172,7 +217,16 @@ type segPool struct {
 	net  protocol.Network
 	free []*segment // len ≤ cap == segPoolCap, never reallocated
 	ctl  *basis.Packet
+	// bare is the same list for payload-less segments. What cycles through
+	// it is the pure ACK: born retired (nothing retransmits one), back here
+	// as soon as emit has sent it, so a receiver acknowledging a bulk
+	// transfer reuses one segment.
+	bare []*segment // len ≤ cap == barePoolCap, never reallocated
 }
+
+// barePoolCap bounds segPool.bare. More than one pure ACK sits on to_do at
+// once only when arrivals pile up behind a parked executor.
+const barePoolCap = 8
 
 // optRoom is header room for the only option we send (MSS, on SYNs).
 const optRoom = 4
@@ -180,6 +234,7 @@ const optRoom = 4
 func (p *segPool) init(net protocol.Network) {
 	p.net = net
 	p.free = make([]*segment, 0, segPoolCap)
+	p.bare = make([]*segment, 0, barePoolCap)
 	p.ctl = basis.AllocPacket(net.Headroom()+headerLen+optRoom, net.Tailroom(), 0)
 }
 
@@ -224,15 +279,46 @@ func (p *segPool) put(sg *segment) {
 	if k == cap(p.free) {
 		return
 	}
-	if poisonRecycled {
+	if basis.PoisonRecycled {
 		sg.pkt.Reset(0, p.net.Headroom()+p.net.MTU()+p.net.Tailroom())
-		b := sg.pkt.Bytes()
-		for i := range b {
-			b[i] = poisonByte
-		}
+		basis.Poison(sg.pkt.Bytes())
 	}
 	p.free = p.free[:k+1]
 	p.free[k] = sg
+}
+
+// getAck returns a payload-less segment for one pure ACK, every field
+// zero but retired: emit gives it back (TCP.recycle) once no queued
+// Send_Segment names it.
+//
+//foxvet:hotpath
+func (p *segPool) getAck() *segment {
+	k := len(p.bare)
+	if k == 0 {
+		return &segment{retired: true}
+	}
+	k--
+	sg := p.bare[k]
+	p.bare[k] = nil
+	p.bare = p.bare[:k]
+	*sg = segment{retired: true}
+	return sg
+}
+
+// putBare retires a payload-less segment.
+//
+//foxvet:hotpath
+func (p *segPool) putBare(sg *segment) {
+	k := len(p.bare)
+	if k == cap(p.bare) {
+		return
+	}
+	if basis.PoisonRecycled {
+		// A header no peer would accept, should it ever reach the wire.
+		*sg = segment{srcPort: 0xA5A5, dstPort: 0xA5A5, seq: 0xA5A5A5A5, ack: 0xA5A5A5A5, flags: 0xA5 & 0x3f}
+	}
+	p.bare = p.bare[:k+1]
+	p.bare[k] = sg
 }
 
 // scratch returns the endpoint's control packet viewed over an empty
@@ -253,8 +339,13 @@ func (p *segPool) scratch() *basis.Packet {
 // first), and the Maybe_Send that ACK triggers would otherwise take the
 // buffer — LIFO — and refill it before the stale Send_Segment runs.
 func (t *TCP) recycle(sg *segment) {
-	if sg.pkt != nil && sg.retired && sg.sends == 0 {
+	if !sg.retired || sg.sends != 0 {
+		return
+	}
+	if sg.pkt != nil {
 		t.pool.put(sg)
+	} else {
+		t.pool.putBare(sg)
 	}
 }
 
@@ -272,31 +363,33 @@ var (
 	errBadChecksum   error = errSegment("bad checksum")
 )
 
-// unmarshal parses wire bytes into a segment, verifying the checksum
-// against the pseudo-header partial sum when verify is true. On success
-// pkt's view is advanced past the header so that it holds exactly the
-// segment text, which sg.data aliases (the receive path's zero-copy
-// delivery). This is the internalization half of the Action module.
+// unmarshal parses wire bytes into sg, overwriting all of it, and verifies
+// the checksum against the pseudo-header partial sum when verify is true.
+// On success pkt's view is advanced past the header so that it holds
+// exactly the segment text, which sg.data aliases (the receive path's
+// zero-copy delivery) and sg.lent records as borrowed from pkt; on error
+// sg is left zero. This is the internalization half of the Action module.
 //
 //foxvet:hotpath
-func unmarshal(pkt *basis.Packet, pseudo uint16, verify bool) (*segment, error) {
+func (sg *segment) unmarshal(pkt *basis.Packet, pseudo uint16, verify bool) error {
+	*sg = segment{}
 	b := pkt.Bytes()
 	if len(b) < headerLen {
-		return nil, errShortSegment
+		return errShortSegment
 	}
 	dataOff := int(b[12]>>4) * 4
 	if dataOff < headerLen || dataOff > len(b) {
-		return nil, errBadDataOffset
+		return errBadDataOffset
 	}
 	if verify && binary.BigEndian.Uint16(b[16:18]) != 0 {
 		var acc checksum.Accumulator
 		acc.AddUint16(pseudo)
 		acc.Add(b)
 		if acc.Partial() != 0xffff {
-			return nil, errBadChecksum
+			return errBadChecksum
 		}
 	}
-	sg := &segment{
+	*sg = segment{
 		srcPort: binary.BigEndian.Uint16(b[0:2]),
 		dstPort: binary.BigEndian.Uint16(b[2:4]),
 		seq:     seq(binary.BigEndian.Uint32(b[4:8])),
@@ -324,7 +417,8 @@ func unmarshal(pkt *basis.Packet, pseudo uint16, verify bool) (*segment, error) 
 	}
 	pkt.Pull(dataOff)
 	sg.data = pkt.Bytes()
-	return sg, nil
+	sg.lent = pkt
+	return nil
 }
 
 func skipOption(opts []byte) []byte {

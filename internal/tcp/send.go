@@ -35,7 +35,7 @@ func (c *Conn) sendModule() {
 					// Zero window with nothing in flight: arm the
 					// persist timer so a lost update cannot wedge us.
 					c.note(evZeroWindow, 0, 0)
-					c.enqueue(actSetTimer{which: timerPersist, d: c.persistBackoff()})
+					c.enqueue(action{kind: actSetTimer, which: timerPersist, d: c.persistBackoff()})
 				}
 				break
 			}
@@ -81,7 +81,7 @@ func (c *Conn) sendModule() {
 		if tcb.ackNow || (tcb.ackPending && !c.t.cfg.delayedAcks()) {
 			c.sendPureAck()
 		} else if tcb.ackPending && !tcb.timerSet[timerDelayedAck] {
-			c.enqueue(actSetTimer{which: timerDelayedAck, d: c.t.cfg.AckDelay})
+			c.enqueue(action{kind: actSetTimer, which: timerDelayedAck, d: c.t.cfg.AckDelay})
 		}
 	}
 }
@@ -137,7 +137,7 @@ func (c *Conn) sendData(n int) {
 	}
 	tcb.rexmitQ.PushBack(sg)
 	if !tcb.timerSet[timerRexmit] {
-		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
+		c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: c.currentRTO()})
 	}
 	c.queueSend(sg)
 	// Queue space freed: wake writers blocked on the send buffer.
@@ -163,7 +163,7 @@ func (c *Conn) takeSegment(n int, now sim.Time) *segment {
 // the segment so the free list knows a transmission is still owed.
 func (c *Conn) queueSend(sg *segment) {
 	sg.sends++
-	c.enqueue(actSendSegment{seg: sg})
+	c.enqueue(action{kind: actSendSegment, seg: sg})
 }
 
 // sendFin emits our FIN and performs the associated state transition.
@@ -180,7 +180,7 @@ func (c *Conn) sendFin() {
 	tcb.sndNxt++
 	tcb.rexmitQ.PushBack(sg)
 	if !tcb.timerSet[timerRexmit] {
-		c.enqueue(actSetTimer{which: timerRexmit, d: c.currentRTO()})
+		c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: c.currentRTO()})
 	}
 	c.stateFinSent()
 	c.queueSend(sg)
@@ -191,10 +191,9 @@ func (c *Conn) sendFin() {
 // sitting behind this one on the to_do queue cannot emit a duplicate.
 func (c *Conn) sendPureAck() {
 	c.clearAckDebt()
-	sg := &segment{
-		srcPort: c.key.lport, dstPort: c.key.rport,
-		seq: c.tcb.sndNxt, flags: flagACK,
-	}
+	sg := c.t.pool.getAck()
+	sg.srcPort, sg.dstPort = c.key.lport, c.key.rport
+	sg.seq, sg.flags = c.tcb.sndNxt, flagACK
 	c.queueSend(sg)
 }
 

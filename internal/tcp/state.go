@@ -28,8 +28,8 @@ func (c *Conn) stateActiveOpen() {
 	}
 	tcb.rexmitQ.PushBack(syn)
 	c.queueSend(syn)
-	c.enqueue(actSetTimer{which: timerRexmit, d: tcb.rto})
-	c.enqueue(actSetTimer{which: timerUser, d: c.t.cfg.UserTimeout})
+	c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: tcb.rto})
+	c.enqueue(action{kind: actSetTimer, which: timerUser, d: c.t.cfg.UserTimeout})
 }
 
 // statePassiveSyn performs the LISTEN-state SYN processing: record the
@@ -65,8 +65,8 @@ func (c *Conn) statePassiveSyn(sg *segment) {
 	}
 	tcb.rexmitQ.PushBack(synAck)
 	c.queueSend(synAck)
-	c.enqueue(actSetTimer{which: timerRexmit, d: tcb.rto})
-	c.enqueue(actSetTimer{which: timerUser, d: c.t.cfg.UserTimeout})
+	c.enqueue(action{kind: actSetTimer, which: timerRexmit, d: tcb.rto})
+	c.enqueue(action{kind: actSetTimer, which: timerUser, d: c.t.cfg.UserTimeout})
 }
 
 // stateEstablish moves a synchronizing connection to ESTABLISHED and
@@ -74,13 +74,13 @@ func (c *Conn) statePassiveSyn(sg *segment) {
 func (c *Conn) stateEstablish() {
 	c.setState(StateEstab)
 	c.leaveHalfOpen()
-	c.enqueue(actClearTimer{which: timerUser})
+	c.enqueue(action{kind: actClearTimer, which: timerUser})
 	if c.t.cfg.Keepalive {
 		c.tcb.lastRecv = c.t.s.Now()
-		c.enqueue(actSetTimer{which: timerKeepalive, d: c.t.cfg.KeepaliveIdle})
+		c.enqueue(action{kind: actSetTimer, which: timerKeepalive, d: c.t.cfg.KeepaliveIdle})
 	}
-	c.enqueue(actCompleteOpen{})
-	c.enqueue(actMaybeSend{})
+	c.enqueue(action{kind: actCompleteOpen})
+	c.enqueue(action{kind: actMaybeSend})
 	// Data that arrived with the SYN was held out of order; it is
 	// deliverable now (and is queued behind Complete_Open, honoring the
 	// no-data-before-open-returns rule).
@@ -93,16 +93,16 @@ func (c *Conn) stateEstablish() {
 func (c *Conn) stateClose() {
 	switch c.state {
 	case StateClosed, StateListen:
-		c.enqueue(actCompleteClose{})
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actCompleteClose})
+		c.enqueue(action{kind: actDeleteTCB})
 	case StateSynSent:
 		// RFC 793: CLOSE in SYN-SENT deletes the TCB.
-		c.enqueue(actCompleteOpen{err: ErrClosed})
-		c.enqueue(actCompleteClose{})
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actCompleteOpen, err: ErrClosed})
+		c.enqueue(action{kind: actCompleteClose})
+		c.enqueue(action{kind: actDeleteTCB})
 	default:
 		c.tcb.finQueued = true
-		c.enqueue(actMaybeSend{})
+		c.enqueue(action{kind: actMaybeSend})
 	}
 }
 
@@ -123,19 +123,19 @@ func (c *Conn) stateOurFinAcked() {
 	switch c.state {
 	case StateFinWait1:
 		c.setState(StateFinWait2)
-		c.enqueue(actCompleteClose{})
+		c.enqueue(action{kind: actCompleteClose})
 	case StateClosing:
 		c.enterTimeWait()
 	case StateLastAck:
-		c.enqueue(actCompleteClose{})
-		c.enqueue(actDeleteTCB{})
+		c.enqueue(action{kind: actCompleteClose})
+		c.enqueue(action{kind: actDeleteTCB})
 	}
 }
 
 // statePeerFin records the transition when the peer's FIN becomes
 // in-order; checkFin has already advanced rcvNxt and scheduled the ACK.
 func (c *Conn) statePeerFin() {
-	c.enqueue(actPeerClosed{})
+	c.enqueue(action{kind: actPeerClosed})
 	switch c.state {
 	case StateSynActive, StateSynPassive, StateEstab:
 		c.setState(StateCloseWait)
@@ -148,17 +148,17 @@ func (c *Conn) statePeerFin() {
 		c.enterTimeWait()
 	case StateTimeWait:
 		// Retransmitted FIN: restart the 2MSL timer.
-		c.enqueue(actSetTimer{which: timerTimeWait, d: c.twoMSL()})
+		c.enqueue(action{kind: actSetTimer, which: timerTimeWait, d: c.twoMSL()})
 	}
 }
 
 // enterTimeWait starts the 2×MSL quarantine.
 func (c *Conn) enterTimeWait() {
 	c.setState(StateTimeWait)
-	c.enqueue(actClearTimer{which: timerRexmit})
-	c.enqueue(actClearTimer{which: timerPersist})
-	c.enqueue(actSetTimer{which: timerTimeWait, d: c.twoMSL()})
-	c.enqueue(actCompleteClose{})
+	c.enqueue(action{kind: actClearTimer, which: timerRexmit})
+	c.enqueue(action{kind: actClearTimer, which: timerPersist})
+	c.enqueue(action{kind: actSetTimer, which: timerTimeWait, d: c.twoMSL()})
+	c.enqueue(action{kind: actCompleteClose})
 }
 
 // stateAbort performs the user ABORT call (and internal aborts such as
@@ -176,5 +176,5 @@ func (c *Conn) stateAbort(err error) {
 		}
 		c.queueSend(rst)
 	}
-	c.enqueue(actUserError{err: err})
+	c.enqueue(action{kind: actUserError, err: err})
 }

@@ -295,7 +295,12 @@ func (k connKey) String() string {
 // Handler is the set of upcalls a connection's user supplies — the
 // paper's connection-specific handler, "specializ[ed] on the connection
 // information the handler supplied to the open call". Any field may be
-// nil. Data's slice is only valid for the duration of the upcall.
+// nil.
+//
+// Data borrows its bytes: data aliases the received frame, which the
+// device reuses for a later frame as soon as the upcall returns. Read it
+// or copy it before returning; in particular do not hand it to Write,
+// which queues by reference — an echo server writes a copy.
 type Handler struct {
 	Established func(c *Conn)
 	Data        func(c *Conn, data []byte)
@@ -340,6 +345,10 @@ type TCP struct {
 	obs observer
 	// pool is the send side's packet memory (segment.go).
 	pool segPool
+	// rx is the one segment every arrival is internalized into; rxBusy
+	// says an arrival is being processed in it (see handler).
+	rx     segment
+	rxBusy bool
 
 	// replay marks an endpoint reconstructed by ReplayJournal: timers are
 	// flagged set but never armed (expirations come from the journal).
@@ -392,13 +401,35 @@ func (t *TCP) chooseISS() seq {
 	return seq(ticks % (1 << 32)) // the 32-bit ISS clock wraps by design
 }
 
-// handler is the lower layer's upcall: internalize the segment (the
-// Action module's receive function: "computes the checksum and decodes
-// the packet header, then places a Process_Data action ... onto the to_do
-// queue"), find the connection, enqueue, and drain.
+// handler is the lower layer's upcall. It borrows pkt, as every upcall
+// does, and so does everything it starts: the segment is internalized
+// into the endpoint's one receive segment, whose text aliases pkt's
+// frame, and both are good until handler returns. What must outlive that
+// takes ownership first (TCP.own, segment.keep).
+//
+// The one receive segment is free again when handler returns. Only an
+// arrival on a second device thread while an upcall of the first is
+// parked (a multi-homed host, a test rig) finds it busy, and gets a
+// segment of its own.
 //
 //foxvet:hotpath
 func (t *TCP) handler(src protocol.Address, pkt *basis.Packet) {
+	if t.rxBusy {
+		t.internalize(src, pkt, new(segment))
+		return
+	}
+	t.rxBusy = true
+	t.internalize(src, pkt, &t.rx)
+	t.rxBusy = false
+}
+
+// internalize is the Action module's receive function: it "computes the
+// checksum and decodes the packet header, then places a Process_Data
+// action ... onto the to_do queue" of the connection it finds, and drains
+// the queue.
+//
+//foxvet:hotpath
+func (t *TCP) internalize(src protocol.Address, pkt *basis.Packet, sg *segment) {
 	var pseudo uint16
 	verify := t.cfg.computeChecksums()
 	if verify {
@@ -406,7 +437,7 @@ func (t *TCP) handler(src protocol.Address, pkt *basis.Packet) {
 	}
 	cks := t.cfg.Prof.Start(profile.CatChecksum)
 	segLen := pkt.Len()
-	sg, err := unmarshal(pkt, pseudo, verify)
+	err := sg.unmarshal(pkt, pseudo, verify)
 	if verify {
 		t.chargePerKB(t.cfg.DataPath.ChecksumPerKB, segLen)
 	}
@@ -423,7 +454,13 @@ func (t *TCP) handler(src protocol.Address, pkt *basis.Packet) {
 		c = t.dispatchUnknown(key, sg)
 	}
 	if c != nil {
-		c.enqueue(actProcessData{seg: sg})
+		if c.executing {
+			// Another thread is parked inside this connection's executor —
+			// an upcall it made is blocked — so the segment waits on to_do
+			// past our return and cannot stay borrowed.
+			sg = t.own(sg)
+		}
+		c.enqueue(action{kind: actProcessData, seg: sg})
 		c.run()
 	}
 	t.observeLeave(e)

@@ -8,6 +8,13 @@ package tcp_test
 // and Ethernet padding is zero, whatever the buffer under it held before
 // (the Etherleak disclosure, CVE-2003-0001). A tap on the segment checks
 // every frame of a run.
+//
+// Received frames are recycled too — an upcall only borrows its frame —
+// so the oracle also stands at the far end: every Data upcall must bring
+// exactly the bytes the peer's stream has at the offset delivery has
+// reached, checked inside the upcall, while the bytes are still the
+// upcall's to read. A segment held out of order and delivered from a
+// frame the device took back would show here (as poison, under -race).
 
 import (
 	"bytes"
@@ -47,10 +54,39 @@ type wireOracle struct {
 	padded      int // data frames short enough to be padded
 	fullBefore  bool
 	etherleak   int // padded data frames sent after a full-sized one from the same host
+
+	delivered map[string]int // bytes upcalled so far, by the port whose stream they are
+	upcalls   int
 }
 
 func newWireOracle(t *testing.T) *wireOracle {
-	return &wireOracle{t: t, stream: map[string][]byte{}, iss: map[string]uint32{}, seen: map[string]map[uint32]int{}}
+	return &wireOracle{t: t, stream: map[string][]byte{}, iss: map[string]uint32{}, seen: map[string]map[uint32]int{},
+		delivered: map[string]int{}}
+}
+
+// receiver returns the handler of a connection whose peer writes from's
+// stream: Data checks each upcall against the stream where delivery
+// stands, then hands it to sink.
+func (o *wireOracle) receiver(from string, sink *collector) tcp.Handler {
+	h := sink.handler()
+	collect := h.Data
+	h.Data = func(c *tcp.Conn, d []byte) {
+		o.upcalls++
+		src, off := o.stream[from], o.delivered[from]
+		o.delivered[from] += len(d)
+		if off+len(d) > len(src) {
+			o.t.Errorf("delivery of %s's stream: %d bytes at offset %d, past its %d bytes", from, len(d), off, len(src))
+		} else if want := src[off : off+len(d)]; !bytes.Equal(d, want) {
+			i := 0
+			for d[i] == want[i] {
+				i++
+			}
+			o.t.Errorf("delivery of %s's stream: upcall of %d bytes at offset %d differs at byte %d: %#02x, want %#02x",
+				from, len(d), off, i, d[i], want[i])
+		}
+		collect(c, d)
+	}
+	return h
 }
 
 func (o *wireOracle) tap(from string, f []byte) {
@@ -128,8 +164,8 @@ func TestWireImageUnderFaults(t *testing.T) {
 
 		var atA, atB collector
 		var server *tcp.Conn
-		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler { server = c; return atB.handler() })
-		client, err := a.TCP.Open(b.A, 80, atA.handler())
+		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler { server = c; return o.receiver(a.A.String(), &atB) })
+		client, err := a.TCP.Open(b.A, 80, o.receiver(b.A.String(), &atA))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,12 +201,13 @@ func TestWireImageUnderFaults(t *testing.T) {
 		if !bytes.Equal(atB.buf.Bytes(), o.stream[a.A.String()]) || !bytes.Equal(atA.buf.Bytes(), o.stream[b.A.String()]) {
 			t.Fatal("delivered streams differ from the sent ones")
 		}
-		if o.retransmits == 0 || o.etherleak == 0 {
-			t.Fatalf("the run did not exercise the cases: %d data frames, %d retransmitted, %d padded after a full segment",
-				o.dataFrames, o.retransmits, o.etherleak)
+		held := a.TCP.Stats().OutOfOrder + b.TCP.Stats().OutOfOrder
+		if o.retransmits == 0 || o.etherleak == 0 || held == 0 {
+			t.Fatalf("the run did not exercise the cases: %d data frames, %d retransmitted, %d padded after a full segment, %d held out of order",
+				o.dataFrames, o.retransmits, o.etherleak, held)
 		}
-		t.Logf("%d data frames checked, %d retransmissions, %d padded (%d over a retired full-size buffer)",
-			o.dataFrames, o.retransmits, o.padded, o.etherleak)
+		t.Logf("%d data frames checked, %d retransmissions, %d padded (%d over a retired full-size buffer); %d upcalls checked, %d segments delivered from an out-of-order hold",
+			o.dataFrames, o.retransmits, o.padded, o.etherleak, o.upcalls, held)
 	})
 }
 

@@ -10,10 +10,18 @@
 // deterministic; the per-send cost of crossing into the kernel (the
 // paper's "Mach send" profile row) is modeled as an explicit virtual
 // charge; and the one data copy the paper attributes to the kernel at the
-// device boundary is performed for real (the frame is cloned as it enters
-// the medium). Fault injection — loss, duplication, corruption, jitter
-// reordering — is driven by a deterministic PRNG so every failure run is
-// reproducible from its seed.
+// device boundary is performed for real: Send copies the frame into a
+// buffer of the segment's own, so the sender has its packet back at once
+// and the medium works on memory nobody else can reach. Fault injection —
+// loss, duplication, corruption, jitter reordering — is driven by a
+// deterministic PRNG so every failure run is reproducible from its seed.
+//
+// Frame memory is the segment's (see framePool): a buffer travels Send →
+// transmit queue → a port's delivery queue → that port's upcall chain and
+// returns to the free list when the chain does. The rule on the way up is
+// the mirror of protocol.Network.Send's — an upcall borrows its packet —
+// and a layer that holds received bytes longer says so with
+// basis.Packet.Keep.
 package wire
 
 import (
@@ -126,8 +134,11 @@ type Segment struct {
 	stats    Stats
 	trace    *basis.Tracer
 	tap      func(from string, data []byte)
+	pool     framePool
 }
 
+// txFrame and delivery carry one pooled frame buffer each; whoever
+// dequeues one either passes the buffer on or puts it back.
 type txFrame struct {
 	from *Port
 	data []byte
@@ -136,6 +147,59 @@ type txFrame struct {
 type delivery struct {
 	availAt sim.Time
 	data    []byte
+}
+
+// framePoolCap bounds the segment's free list of frame buffers, as
+// segPoolCap bounds a TCP endpoint's: a 64 KB window is 45 full frames
+// on the medium at once, so a bulk transfer cycles inside it, and the
+// list pins at most framePoolCap × MaxFrame bytes (~96 KB).
+const framePoolCap = 64
+
+// framePool is the segment's frame memory: a LIFO free list of
+// MaxFrame-sized buffers. get allocates when the list is empty; put takes
+// a buffer back, or leaves it to the collector when the list is full. A
+// buffer a receiver kept (basis.Packet.Keep) is never put: it simply stops
+// being the pool's. The three counters are the ledger the tests audit —
+// gets − puts − kept is the number of buffers in the segment's queues.
+type framePool struct {
+	free             [][]byte // len ≤ cap == framePoolCap, never reallocated
+	gets, puts, kept uint64
+}
+
+// get returns a buffer of n ≤ MaxFrame bytes whose contents are whatever
+// its last user (or the poison) left: callers overwrite all of it.
+func (fp *framePool) get(n int) []byte {
+	fp.gets++
+	if k := len(fp.free); k > 0 {
+		k--
+		b := fp.free[k]
+		fp.free[k] = nil
+		fp.free = fp.free[:k]
+		return b[:n]
+	}
+	return make([]byte, MaxFrame)[:n]
+}
+
+// put takes back a buffer that get handed out.
+func (fp *framePool) put(b []byte) {
+	fp.puts++
+	k := len(fp.free)
+	if k == cap(fp.free) {
+		return
+	}
+	b = b[:MaxFrame]
+	basis.Poison(b)
+	fp.free = fp.free[:k+1]
+	fp.free[k] = b
+}
+
+// clone returns a pooled copy of frame b.
+//
+//foxvet:boundary-copy the medium's own copies: a duplicated frame, and each receiver's DMA buffer on a segment of more than two ports, is physically another frame
+func (fp *framePool) clone(b []byte) []byte {
+	c := fp.get(len(b))
+	copy(c, b)
+	return c
 }
 
 // Port is a host's attachment to a segment. Exactly as in the paper's
@@ -149,6 +213,8 @@ type Port struct {
 	inq     basis.FIFO[delivery]
 	inC     *sim.Cond
 	down    bool
+	// rx is the one Packet every upcall chain of this port runs over.
+	rx basis.Packet
 }
 
 // faultStreamSalt derives the fault stream's seed from Config.Seed.
@@ -166,6 +232,7 @@ func NewSegment(s *sim.Scheduler, cfg Config, trace *basis.Tracer) *Segment {
 	cfg.fill()
 	seg := &Segment{s: s, cfg: cfg, rng: basis.NewRand(cfg.Seed),
 		faultRNG: basis.NewRand(cfg.Seed ^ faultStreamSalt), trace: trace}
+	seg.pool.free = make([][]byte, 0, framePoolCap)
 	seg.txC = sim.NewCond(s)
 	s.Fork("wire", seg.mediumLoop)
 	return seg
@@ -177,7 +244,9 @@ func (seg *Segment) Stats() Stats { return seg.stats }
 // SetTap installs an observer that sees every frame as it leaves the
 // medium's transmit queue, before fault injection — a passive network
 // analyzer clipped onto the simulated cable. The tap runs on the medium
-// thread outside virtual-time charging, so observation is free.
+// thread outside virtual-time charging, so observation is free. A tap
+// borrows data: the buffer is the medium's and is reused for a later
+// frame, so a tap that wants the bytes afterwards copies them.
 func (seg *Segment) SetTap(tap func(from string, data []byte)) { seg.tap = tap }
 
 // NewPort attaches a new host port named name. Device-send and
@@ -191,7 +260,9 @@ func (seg *Segment) NewPort(name string, prof *profile.Profile) *Port {
 }
 
 // SetHandler installs the receive upcall. Frames arriving while no
-// handler is installed are dropped.
+// handler is installed are dropped. The upcall borrows its packet: the
+// port reuses both the Packet and its bytes once h returns, unless
+// something in the chain called Keep on it.
 func (p *Port) SetHandler(h func(*basis.Packet)) { p.handler = h }
 
 // SetUp raises or lowers the interface. A down port transmits nothing and
@@ -232,7 +303,7 @@ func (p *Port) Send(pkt *basis.Packet) {
 	// happens, but its simulation cost stays off the host's clock (the
 	// explicit SendCost models the whole kernel crossing).
 	seg.s.Exclude(func() {
-		data := make([]byte, pkt.Len())
+		data := seg.pool.get(pkt.Len())
 		copy(data, pkt.Bytes()) //foxvet:boundary-copy simulated kernel crossing: the NIC DMA copy the paper charges to SendCost, off the host clock
 		seg.stats.Sent++
 		seg.txq.Enqueue(txFrame{from: p, data: data})
@@ -245,7 +316,9 @@ func (p *Port) Send(pkt *basis.Packet) {
 }
 
 // mediumLoop serializes frames onto the medium one at a time — the shared
-// Ethernet — applying bandwidth delay, faults, and propagation.
+// Ethernet — applying bandwidth delay, faults, and propagation. It owns
+// the buffer of every frame it dequeues and gives back each one it does
+// not hand to a port.
 func (seg *Segment) mediumLoop() {
 	for {
 		for seg.txq.Empty() {
@@ -273,6 +346,7 @@ func (seg *Segment) mediumLoop() {
 		if lost {
 			seg.stats.Lost++
 			seg.trace.Printf("frame from %s lost (%d bytes)", f.from.name, len(f.data))
+			seg.pool.put(f.data)
 			continue
 		}
 		copies := 1
@@ -281,19 +355,21 @@ func (seg *Segment) mediumLoop() {
 			seg.stats.Duplicated++
 		}
 		for i := 0; i < copies; i++ {
+			// Each copy travels in a buffer of its own — a duplicated frame
+			// is physically a second frame on the medium — so the damage
+			// below is done in place. The duplicate is cloned first, while
+			// f.data is still as transmitted; the last copy is f.data.
 			data := f.data
-			if i > 0 {
-				data = append([]byte(nil), f.data...) //foxvet:boundary-copy fault injection: a duplicated frame is physically a second frame on the medium
+			if i+1 < copies {
+				data = seg.pool.clone(f.data)
 			}
 			if seg.rng.Chance(seg.cfg.Corrupt) && len(data) > 0 {
-				data = append([]byte(nil), data...) //foxvet:boundary-copy fault injection: corruption must not flip bits in the sender's retained buffer
 				data[seg.rng.Intn(len(data))] ^= 0xff
 				seg.stats.Corrupted++
 			}
 			// A corruption storm is extra damage layered on top of the
 			// static rate; its draws come from the fault stream only.
 			if seg.ctl.stormP > 0 && seg.faultRNG.Chance(seg.ctl.stormP) && len(data) > 0 {
-				data = append([]byte(nil), data...) //foxvet:boundary-copy fault injection: storm corruption must not flip bits in the sender's retained buffer
 				data[seg.faultRNG.Intn(len(data))] ^= 0xff
 				seg.stats.Corrupted++
 			}
@@ -303,6 +379,7 @@ func (seg *Segment) mediumLoop() {
 				availAt += sim.Time(extra)
 				seg.stats.Jittered++
 			}
+			queued := false
 			for _, port := range seg.ports {
 				if port == f.from {
 					continue
@@ -319,19 +396,29 @@ func (seg *Segment) mediumLoop() {
 				// DMA does.
 				buf := data
 				if len(seg.ports) > 2 {
-					buf = append([]byte(nil), data...) //foxvet:boundary-copy broadcast medium: each receiving NIC DMAs into its own buffer
+					buf = seg.pool.clone(data)
+				} else {
+					queued = true
 				}
 				port.inq.Enqueue(delivery{availAt: availAt, data: buf})
 				port.inC.Signal()
 				seg.stats.Delivered++
 			}
+			// Nobody took data itself: a partition cut it off, or every
+			// receiver got a copy of its own.
+			if !queued {
+				seg.pool.put(data)
+			}
 		}
 	}
 }
 
-// recvLoop waits for deliveries and runs the upcall chain. Waiting time is
-// the paper's "packet wait" profile row.
+// recvLoop waits for deliveries and runs the upcall chain over the port's
+// one Packet. The chain borrows the frame: when it returns the buffer goes
+// back to the segment's pool, unless a layer kept it. Waiting time is the
+// paper's "packet wait" profile row.
 func (p *Port) recvLoop() {
+	pool := &p.seg.pool
 	for {
 		for p.inq.Empty() {
 			sec := p.prof.Start(profile.CatPacketWait)
@@ -345,12 +432,19 @@ func (p *Port) recvLoop() {
 			sec.Stop()
 		}
 		if p.handler == nil || p.down {
+			pool.put(d.data)
 			continue
 		}
 		if p.seg.trace.On() {
 			p.seg.trace.Printf("%s rx %d bytes", p.name, len(d.data))
 		}
-		p.handler(basis.FromWire(d.data))
+		p.rx.Rewire(d.data)
+		p.handler(&p.rx)
+		if p.rx.Kept() {
+			pool.kept++
+		} else {
+			pool.put(d.data)
+		}
 	}
 }
 
