@@ -118,13 +118,13 @@ chaos:
 	$(GO) test -race -count=1 -v ./internal/adversary/ ./internal/fault/
 
 # audit exercises the tamper-evidence pipeline end to end: a lossy
-# foxstat run journals both hosts through the Merkle batcher into
-# audit-journals/, prints the sealed-segment listing, then foxreplay
-# verifies every seal chain and replay-audits the journals with sharded
-# workers. Any flipped bit in any segment fails the verify step.
+# foxstat run seals both hosts' journals with the SHA-256 hash chain
+# into audit-journals/ and prints each chain head, then foxreplay
+# verifies every chain and replay-audits the journals with sharded
+# workers. Any flipped bit in either journal fails the verify step.
 audit:
 	rm -rf audit-journals
-	$(GO) run ./cmd/foxstat -scenario lossy -flight audit-journals -seals
+	$(GO) run ./cmd/foxstat -scenario lossy -flight audit-journals -seal
 	$(GO) run ./cmd/foxreplay -verify -workers 4 audit-journals
 
 # telemetry gates the observers: the unit and integration tests

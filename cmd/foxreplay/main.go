@@ -8,27 +8,26 @@
 // protocol code produces; any disagreement — corruption, nondeterminism,
 // or a state-machine bug — exits nonzero with the first divergence.
 //
-// Journals may be single files or rotated segment runs; a directory
-// argument is expanded with seal.DiscoverDir, grouping
-// "<host>.%04d.fjl" segments into one journal per host.
+// A directory argument stands for the *.fjl journals in it, in name
+// order.
 //
 //	foxreplay run.fjl                 replay and audit one journal
 //	foxreplay host1.fjl host2.fjl     audit several (all must pass)
 //	foxreplay journals/               audit every journal in a directory
-//	foxreplay -verify journals/       check the Merkle seal chain first;
-//	                                  a tampered journal is refused, with
-//	                                  the damaged segment/offset named
+//	foxreplay -verify journals/       check the seal chain first; a
+//	                                  tampered journal is refused, with
+//	                                  the damaged byte range named
 //	foxreplay -workers 8 journals/    shard connections across workers
 //	foxreplay -causal 117 run.fjl     print action #117's cause chain
 //	foxreplay -dot run.fjl            emit the causal graph as Graphviz
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/flight"
 	"repro/internal/flight/seal"
@@ -39,7 +38,7 @@ func main() {
 	causal := flag.Uint64("causal", 0, "print the cause chain of this action sequence number and exit")
 	dot := flag.Bool("dot", false, "emit the journal's causal graph as Graphviz dot and exit")
 	quiet := flag.Bool("q", false, "suppress per-journal summaries; only report divergences")
-	verify := flag.Bool("verify", false, "verify the Merkle seal chain before replaying; refuse tampered or unsealed journals")
+	verify := flag.Bool("verify", false, "verify the seal chain before replaying; refuse tampered or unsealed journals")
 	workers := flag.Int("workers", 1, "shard connections across this many replay workers")
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -53,8 +52,8 @@ func main() {
 		os.Exit(1)
 	}
 	failed := false
-	for _, j := range journals {
-		if !process(j, *causal, *dot, *quiet, *verify, *workers) {
+	for _, path := range journals {
+		if !process(path, *causal, *dot, *quiet, *verify, *workers) {
 			failed = true
 		}
 	}
@@ -63,77 +62,67 @@ func main() {
 	}
 }
 
-// expandArgs turns the argument list into journals: directories are
-// discovered (grouping rotated segments per host), files stand alone.
-func expandArgs(args []string) ([]seal.Journal, error) {
-	var out []seal.Journal
+// expandArgs turns the argument list into journal paths: a directory
+// stands for its *.fjl files in name order, a file for itself.
+func expandArgs(args []string) ([]string, error) {
+	var out []string
 	for _, arg := range args {
 		fi, err := os.Stat(arg)
 		if err != nil {
 			return nil, err
 		}
-		if fi.IsDir() {
-			js, err := seal.DiscoverDir(arg)
-			if err != nil {
-				return nil, err
-			}
-			if len(js) == 0 {
-				return nil, fmt.Errorf("%s: no *%s journals", arg, seal.Ext)
-			}
-			out = append(out, js...)
+		if !fi.IsDir() {
+			out = append(out, arg)
 			continue
 		}
-		base := strings.TrimSuffix(filepath.Base(arg), seal.Ext)
-		out = append(out, seal.Journal{Prefix: base, Files: []string{arg}})
+		paths, err := filepath.Glob(filepath.Join(arg, "*.fjl"))
+		if err != nil {
+			return nil, err
+		}
+		if len(paths) == 0 {
+			return nil, fmt.Errorf("%s: no *.fjl journals", arg)
+		}
+		out = append(out, paths...)
 	}
 	return out, nil
 }
 
-// name renders a journal for messages: the single file's path, or the
-// prefix with its segment count.
-func name(j seal.Journal) string {
-	if len(j.Files) == 1 && !j.Sealed {
-		return j.Files[0]
-	}
-	return fmt.Sprintf("%s (%d segments)", j.Prefix, len(j.Files))
-}
-
 // process handles one journal, returning false on any failure.
-func process(j seal.Journal, causal uint64, dot, quiet, verify bool, workers int) bool {
+func process(path string, causal uint64, dot, quiet, verify bool, workers int) bool {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "foxreplay: %v\n", err)
+		return false
+	}
 	if verify {
-		rep, err := seal.Verify(j.Sources(), nil)
+		rep, err := seal.Verify(bytes.NewReader(data))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "foxreplay: %s: VERIFY FAILED: %v\n", name(j), err)
-			fmt.Fprintf(os.Stderr, "foxreplay: %s: refusing to replay an unverified journal\n", name(j))
+			fmt.Fprintf(os.Stderr, "foxreplay: %s: VERIFY FAILED: %v\n", path, err)
+			fmt.Fprintf(os.Stderr, "foxreplay: %s: refusing to replay an unverified journal\n", path)
 			return false
 		}
 		if !quiet {
-			fmt.Printf("%s: seal chain verified — %d segments, %d batches, %d records, last seal %s\n",
-				name(j), len(rep.Segments), rep.Batches, rep.Leaves, short(rep.LastSeal))
+			fmt.Printf("%s: seal chain verified — %d batches, %d records, head %s\n",
+				path, rep.Batches, rep.Records, short(rep.Head))
 		}
 	}
-
-	var recs []flight.Record
-	for _, path := range j.Files {
-		part, err := readFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "foxreplay: %v\n", err)
-			return false
-		}
-		recs = append(recs, part...)
+	recs, err := flight.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "foxreplay: %s: %v\n", path, err)
+		return false
 	}
 
 	switch {
 	case dot:
 		if err := flight.Dot(os.Stdout, recs); err != nil {
-			fmt.Fprintf(os.Stderr, "foxreplay: %s: %v\n", name(j), err)
+			fmt.Fprintf(os.Stderr, "foxreplay: %s: %v\n", path, err)
 			return false
 		}
 		return true
 	case causal != 0:
 		chain, err := flight.Chain(recs, causal)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "foxreplay: %s: %v\n", name(j), err)
+			fmt.Fprintf(os.Stderr, "foxreplay: %s: %v\n", path, err)
 			return false
 		}
 		for i, r := range chain {
@@ -147,11 +136,11 @@ func process(j seal.Journal, causal uint64, dot, quiet, verify bool, workers int
 
 	res, err := tcp.ReplayJournalParallel(recs, workers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "foxreplay: %s: %v\n", name(j), err)
+		fmt.Fprintf(os.Stderr, "foxreplay: %s: %v\n", path, err)
 		return false
 	}
 	for _, d := range res.Divergences {
-		fmt.Fprintf(os.Stderr, "foxreplay: %s: DIVERGENCE: %v\n", name(j), d)
+		fmt.Fprintf(os.Stderr, "foxreplay: %s: DIVERGENCE: %v\n", path, d)
 	}
 	if len(res.Divergences) > 0 {
 		return false
@@ -162,27 +151,9 @@ func process(j seal.Journal, causal uint64, dot, quiet, verify bool, workers int
 			par = fmt.Sprintf(", %d workers", res.Workers)
 		}
 		fmt.Printf("%s: ok — host %s, %d records, %d actions replayed, %d conns%s, zero divergence\n",
-			name(j), res.Host, res.Records, res.Actions, res.Conns, par)
+			path, res.Host, res.Records, res.Actions, res.Conns, par)
 	}
 	return true
-}
-
-// readFile decodes one segment file, naming the segment in any
-// corruption report so the damage is locatable.
-func readFile(path string) ([]flight.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := flight.ReadAll(f)
-	if err != nil {
-		if c, ok := err.(*flight.Corruption); ok && c.Segment == "" {
-			c.Segment = filepath.Base(path)
-		}
-		return nil, err
-	}
-	return recs, nil
 }
 
 // short abbreviates a hex hash for summaries.

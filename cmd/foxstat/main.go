@@ -30,6 +30,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -100,15 +101,11 @@ func main() {
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
 	ringN := flag.Int("ring", 0, "event-ring capacity per host (0 takes the default)")
 	flightDir := flag.String("flight", "", "record per-host flight journals into this directory (replay with foxreplay)")
-	sealed := flag.Bool("seal", false, "route -flight journals through the Merkle batcher: tamper-evident rotated segments (verify with foxreplay -verify)")
-	sealList := flag.Bool("seals", false, "after the run, list each sealed segment with its root hash and leaf coverage (implies -seal)")
+	sealed := flag.Bool("seal", false, "seal the -flight journals with a SHA-256 hash chain and, after the run, verify each and print its chain head (foxreplay -verify checks them later)")
 	serveAddr := flag.String("serve", "", "serve live telemetry over HTTP on this address (/metrics, /conns, /series/<conn>, /profile); keeps serving after the run until interrupted")
 	watch := flag.Duration("watch", 0, "print periodic telemetry snapshots to stderr at this interval while the scenario runs")
 	scrapePath := flag.String("scrape", "", "after the run, render the Prometheus /metrics payload to this file")
 	flag.Parse()
-	if *sealList {
-		*sealed = true
-	}
 	if *sealed && *flightDir == "" {
 		fmt.Fprintln(os.Stderr, "foxstat: -seal requires -flight DIR")
 		os.Exit(2)
@@ -271,9 +268,9 @@ func main() {
 		}
 	}
 
-	// Seal the partial batch and flush the journals: segment writes are
-	// buffered, and an unsynced sealed journal fails verification by
-	// design (its tail is not attested).
+	// Seal the partial batch and flush the journals: sealed journal
+	// writes are buffered, and an unsynced sealed journal fails
+	// verification by design (its tail is not attested).
 	if *flightDir != "" {
 		for _, h := range net.Hosts {
 			if err := h.SyncFlight(); err != nil {
@@ -283,11 +280,15 @@ func main() {
 		}
 	}
 	var sealReports map[string]*seal.Report
-	if *sealList {
-		var err error
-		if sealReports, err = seal.VerifyDir(*flightDir, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "foxstat: seal verify: %v\n", err)
-			os.Exit(1)
+	if *sealed {
+		sealReports = map[string]*seal.Report{}
+		for _, h := range net.Hosts {
+			rep, err := verifyJournal(filepath.Join(*flightDir, h.Name+".fjl"))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "foxstat: %s: seal verify: %v\n", h.Name, err)
+				os.Exit(1)
+			}
+			sealReports[h.Name] = rep
 		}
 	}
 
@@ -315,32 +316,31 @@ func main() {
 	}
 }
 
-// writeSeals prints the -seals listing: every sealed segment with its
-// size, record/leaf coverage, and the last Merkle root and chain hash
-// it carries.
+// verifyJournal checks one sealed journal file's chain.
+func verifyJournal(path string) (*seal.Report, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return seal.Verify(f)
+}
+
+// writeSeals prints the -seal summary: one chain line per host.
 func writeSeals(out io.Writer, reports map[string]*seal.Report) {
-	if len(reports) == 0 {
-		return
+	hosts := make([]string, 0, len(reports))
+	for h := range reports {
+		hosts = append(hosts, h)
 	}
-	prefixes := make([]string, 0, len(reports))
-	for p := range reports {
-		prefixes = append(prefixes, p)
-	}
-	sort.Strings(prefixes)
-	for _, p := range prefixes {
-		rep := reports[p]
-		fmt.Fprintf(out, "sealed journal %s: %d segments, %d batches, %d records sealed, chain head %s\n",
-			p, len(rep.Segments), rep.Batches, rep.Leaves, shortHash(rep.LastSeal))
-		for _, s := range rep.Segments {
-			fmt.Fprintf(out, "  %-18s %8d B  records %-5d seals %-3d leaves %d..%d  root %s  seal %s\n",
-				s.Name, s.Bytes, s.Records, s.Seals,
-				s.FirstLeaf, s.FirstLeaf+uint64(s.Leaves),
-				shortHash(s.LastRoot), shortHash(s.LastSeal))
-		}
+	sort.Strings(hosts)
+	for _, h := range hosts {
+		rep := reports[h]
+		fmt.Fprintf(out, "sealed journal %s: %d records in %d batches, chain head %s\n",
+			h, rep.Records, rep.Batches, shortHash(rep.Head))
 	}
 }
 
-// shortHash abbreviates a hex hash for the listing.
+// shortHash abbreviates a hex hash for the summary.
 func shortHash(h string) string {
 	if len(h) > 16 {
 		return h[:16] + "…"

@@ -20,7 +20,9 @@
 package foxnet
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -82,9 +84,6 @@ type (
 	// FlightRecorder journals per-action TCB evolution (see
 	// HostConfig.FlightDir and cmd/foxreplay).
 	FlightRecorder = flight.Recorder
-	// SealOptions parameterizes the tamper-evident journal batcher (see
-	// HostConfig.FlightSeal).
-	SealOptions = seal.Options
 	// Telemetry is a host's observation plane: hot-path latency
 	// histograms, per-connection time-series rings, and the executor
 	// profile (see HostConfig.Telemetry and cmd/foxstat -serve).
@@ -165,18 +164,14 @@ type HostConfig struct {
 	// directory is created if missing. An explicit TCP.Flight recorder
 	// takes precedence.
 	FlightDir string
-	// FlightSeal routes the FlightDir journal through the Merkle batcher
-	// (internal/flight/seal): records are sealed into hash-chained
-	// batches and written as rotated "<hostname>.%04d.fjl" segments that
-	// `foxreplay -verify` and `foxaudit` can check for tampering. The
+	// FlightSeal seals the FlightDir journal with a SHA-256 hash chain
+	// (internal/flight/seal): a seal record closes every 256 records,
+	// and `foxreplay -verify` locates any altered byte or cut tail. The
 	// seal counters appear as the registry's "seal" group. Call
-	// Host.SyncFlight before reading the journal: segment writes are
-	// buffered, and the final partial batch is only sealed on sync.
+	// Host.SyncFlight before reading the journal: a sealed journal's
+	// writes are buffered, and its final partial batch is sealed only
+	// on sync.
 	FlightSeal bool
-	// FlightSealOptions overrides the batcher's defaults (batch size,
-	// segment rotation thresholds) when FlightSeal is set. The MIB field
-	// is ignored; the host's registry supplies it.
-	FlightSealOptions SealOptions
 	// Telemetry, when non-nil, attaches the observation plane to this
 	// host's TCP: latency histograms, per-connection series, executor
 	// profile — all atomic, live-scrapable mid-run. An explicit
@@ -210,11 +205,11 @@ type Host struct {
 	Telemetry *Telemetry
 }
 
-// SyncFlight seals the journal's partial batch and flushes it to its
-// sink. Call it after the scenario ends and before verifying or
-// replaying the journal; a sealed journal that skips this loses its
-// buffered tail (that is the durability seam, not a bug). Safe to call
-// on hosts with no recorder.
+// SyncFlight seals a sealed journal's partial batch, flushes the
+// journal file and syncs it to disk. Call it after the scenario ends and
+// before verifying or replaying the journal; a sealed journal that skips
+// this loses its buffered tail (that is the durability seam, not a bug).
+// Safe to call on hosts with no recorder.
 func (h *Host) SyncFlight() error { return h.Flight.Sync() }
 
 // Network is a simulated Ethernet segment with attached hosts.
@@ -335,16 +330,13 @@ func (n *Network) addHost(id byte, hc HostConfig) *Host {
 		tcfg.Events = reg.Ring()
 	}
 	if tcfg.Flight == nil && hc.FlightDir != "" {
+		var jw io.Writer = &flightSink{dir: hc.FlightDir, name: h.Name, buffered: hc.FlightSeal}
 		if hc.FlightSeal {
-			smib := new(stats.SealMIB)
-			reg.Register("seal", smib)
-			o := hc.FlightSealOptions
-			o.MIB = smib
-			tcfg.Flight = flight.NewRecorder(
-				seal.NewWriter(&seal.DirSink{Dir: hc.FlightDir, Prefix: h.Name}, o))
-		} else {
-			tcfg.Flight = flight.NewRecorder(&flightSink{dir: hc.FlightDir, name: h.Name})
+			sw := seal.NewWriter(jw)
+			reg.Register("seal", sw.MIB())
+			jw = sw
 		}
+		tcfg.Flight = flight.NewRecorder(jw)
 	}
 	if tcfg.Telemetry == nil {
 		tcfg.Telemetry = hc.Telemetry
@@ -355,15 +347,20 @@ func (n *Network) addHost(id byte, hc HostConfig) *Host {
 	return h
 }
 
-// flightSink is the journal file behind HostConfig.FlightDir. Creation
-// is deferred to the first journal write so stack assembly itself does
-// no OS I/O from a coroutine (noblock); like the Tracer's output, the
-// file then sits behind the io.Writer seam, which is the sanctioned
-// place for diagnostics I/O. A failed open sticks: the recorder sees
-// the error once and drops further records.
+// flightSink is the journal file behind HostConfig.FlightDir,
+// <dir>/<name>.fjl, sealed or not. Creation is deferred to the first
+// journal write so stack assembly itself does no OS I/O from a
+// coroutine (noblock); like the Tracer's output, the file then sits
+// behind the io.Writer seam, which is the sanctioned place for
+// diagnostics I/O. A failed open sticks: the recorder sees the error
+// once and drops further records. A plain journal writes each record
+// straight to the file, so it is readable without a sync; a buffered
+// (sealed) one reaches the file in 64 KB writes and on Sync.
 type flightSink struct {
 	dir, name string
+	buffered  bool
 	f         *os.File
+	w         io.Writer // f, or a buffer over it
 	err       error
 }
 
@@ -378,17 +375,24 @@ func (w *flightSink) Write(p []byte) (int, error) {
 		if w.f, w.err = os.Create(filepath.Join(w.dir, w.name+".fjl")); w.err != nil {
 			return 0, w.err
 		}
+		w.w = w.f
+		if w.buffered {
+			w.w = bufio.NewWriterSize(w.f, 64<<10)
+		}
 	}
-	return w.f.Write(p)
+	return w.w.Write(p)
 }
 
-// Sync flushes the journal file to disk (the Recorder's Sync seam).
+// Sync flushes any buffered records and syncs the journal file to disk
+// (the Recorder's Sync seam).
 func (w *flightSink) Sync() error {
-	if w.err != nil {
+	if w.err != nil || w.f == nil {
 		return w.err
 	}
-	if w.f == nil {
-		return nil
+	if bw, ok := w.w.(*bufio.Writer); ok {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
 	}
 	return w.f.Sync()
 }

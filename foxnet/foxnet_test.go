@@ -2,10 +2,14 @@ package foxnet_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/foxnet"
+	"repro/internal/flight"
+	"repro/internal/flight/seal"
 	"repro/internal/tcp"
 	"repro/internal/wire"
 )
@@ -273,4 +277,77 @@ func TestFaultScheduleThroughFacade(t *testing.T) {
 	if mib.LinkDowns.Load() != 2 || mib.LinkUps.Load() != 2 {
 		t.Fatalf("flap counted %d downs / %d ups, want 2/2", mib.LinkDowns.Load(), mib.LinkUps.Load())
 	}
+}
+
+// A sealed FlightDir journal is buffered: until SyncFlight its tail is
+// not on disk; after it the file verifies, whole, and replays. A plain journal is on disk record by record, no sync
+// needed.
+func TestFlightSealSyncDurability(t *testing.T) {
+	dir := t.TempDir()
+	s := foxnet.NewScheduler(foxnet.SchedulerConfig{})
+	var net *foxnet.Network
+	s.Run(func() {
+		net = foxnet.NewNetwork(s, foxnet.WireConfig{}, 2,
+			&foxnet.HostConfig{FlightDir: dir, FlightSeal: true},
+			&foxnet.HostConfig{FlightDir: dir})
+		net.Host(1).TCP.Listen(80, func(c *foxnet.Conn) foxnet.Handler {
+			return foxnet.Handler{
+				Data:       func(c *foxnet.Conn, d []byte) {},
+				PeerClosed: func(c *foxnet.Conn) { c.Shutdown() },
+			}
+		})
+		conn, err := net.Host(0).TCP.Open(net.Host(1).Addr, 80, foxnet.Handler{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(make([]byte, 20_000))
+		conn.Close()
+		s.Sleep(time.Minute)
+	})
+	sealedPath := filepath.Join(dir, net.Host(0).Name+".fjl")
+	plainPath := filepath.Join(dir, net.Host(1).Name+".fjl")
+	verify := func() (*seal.Report, error) {
+		data, err := os.ReadFile(sealedPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seal.Verify(bytes.NewReader(data))
+	}
+	early, earlyErr := verify()
+	plain, err := os.ReadFile(plainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tcp.ReplayJournal(mustRead(t, plain)); err != nil {
+		t.Fatalf("plain journal before sync: %v", err)
+	}
+	for _, h := range net.Hosts {
+		if err := h.SyncFlight(); err != nil {
+			t.Fatalf("%s: SyncFlight: %v", h.Name, err)
+		}
+	}
+	rep, err := verify()
+	if err != nil {
+		t.Fatalf("after SyncFlight: %v", err)
+	}
+	if earlyErr == nil && early.Records >= rep.Records {
+		t.Fatalf("all %d records were on disk before SyncFlight", rep.Records)
+	}
+	if n, _ := net.Host(0).Stats.Snapshot().Get("seal.RecordsSealed"); n != float64(rep.Records) {
+		t.Errorf("seal.RecordsSealed = %v, want %d", n, rep.Records)
+	}
+	data, _ := os.ReadFile(sealedPath)
+	res, err := tcp.ReplayJournal(mustRead(t, data))
+	if err != nil || len(res.Divergences) > 0 || res.Actions == 0 {
+		t.Fatalf("sealed journal replay: %v, %d actions, %v", err, res.Actions, res.Divergences)
+	}
+}
+
+func mustRead(t *testing.T, journal []byte) []flight.Record {
+	t.Helper()
+	recs, err := flight.ReadAll(bytes.NewReader(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }

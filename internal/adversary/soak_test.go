@@ -8,9 +8,12 @@ package adversary_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -280,21 +283,14 @@ func runSoak(t *testing.T, seed uint64, attack bool) soakResult {
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	// Both endpoints journal through the Merkle batcher into rotated
-	// in-memory segments; after the run each journal is chain-verified
-	// and replay-audited (sharded across workers), so every soak seed
-	// doubles as a determinism proof AND a tamper-evidence proof. On
-	// failure the segments (and a pcap of the whole wire) land in
-	// $CHAOS_OUT for offline foxreplay analysis.
-	var capture bytes.Buffer
-	csink := &seal.MemSink{Prefix: "client"}
-	ssink := &seal.MemSink{Prefix: "server"}
-	// Small segments force rotation: the 2 MiB transfer yields a
-	// multi-segment journal on both sides, which is what the tamper and
-	// compaction audits below want to chew on.
-	sealOpts := seal.Options{BatchSize: 64, SegmentBytes: 256 << 10}
-	crec := flight.NewRecorder(seal.NewWriter(csink, sealOpts))
-	srec := flight.NewRecorder(seal.NewWriter(ssink, sealOpts))
+	// Both endpoints journal through the seal writer into memory; after
+	// the run each journal is chain-verified and replay-audited (sharded
+	// across workers), so every soak seed doubles as a determinism proof
+	// AND a tamper-evidence proof. On failure the journals (and a pcap of
+	// the whole wire) land in $CHAOS_OUT for offline foxreplay analysis.
+	var capture, cjournal, sjournal bytes.Buffer
+	crec := flight.NewRecorder(seal.NewWriter(&cjournal))
+	srec := flight.NewRecorder(seal.NewWriter(&sjournal))
 	pw := pcap.NewWriter(&capture)
 	s := sim.New(sim.Config{})
 	s.Run(func() {
@@ -392,44 +388,32 @@ func runSoak(t *testing.T, seed uint64, attack bool) soakResult {
 	if err := srec.Sync(); err != nil {
 		t.Errorf("seed %d server journal sync: %v", seed, err)
 	}
-	auditSealed(t, seed, attack, "client", csink)
-	auditSealed(t, seed, attack, "server", ssink)
+	auditSealed(t, seed, attack, "client", cjournal.Bytes())
+	auditSealed(t, seed, attack, "server", sjournal.Bytes())
 	if t.Failed() {
-		files := map[string][]byte{"wire.pcap": capture.Bytes()}
-		for _, sink := range []*seal.MemSink{csink, ssink} {
-			for i, b := range sink.Segs {
-				files[seal.SegmentName(sink.Prefix, i)] = b.Bytes()
-			}
-		}
-		dumpArtifacts(t, seed, attack, files)
+		dumpArtifacts(t, seed, attack, map[string][]byte{
+			"wire.pcap":  capture.Bytes(),
+			"client.fjl": cjournal.Bytes(),
+			"server.fjl": sjournal.Bytes(),
+		})
 	}
 	return res
 }
 
 // auditSealed audits one endpoint's sealed journal end to end: the seal
 // chain verifies, the sharded parallel replay reproduces every recorded
-// TCB delta, one flipped bit in ANY segment makes verification fail and
-// name that segment, and compacting the cold segments keeps both the
-// chain and the replay intact.
-func auditSealed(t *testing.T, seed uint64, attack bool, who string, sink *seal.MemSink) {
+// TCB delta, and the journal is tamper-evident (auditTamper).
+func auditSealed(t *testing.T, seed uint64, attack bool, who string, journal []byte) {
 	t.Helper()
 	id := fmt.Sprintf("seed %d attack=%v %s", seed, attack, who)
-	if len(sink.Segs) < 2 {
-		t.Errorf("%s: journal did not rotate (%d segments)", id, len(sink.Segs))
-		return
-	}
-	if _, err := seal.Verify(sink.Sources(), nil); err != nil {
+	if _, err := seal.Verify(bytes.NewReader(journal)); err != nil {
 		t.Errorf("%s verify: %v", id, err)
 		return
 	}
-	var recs []flight.Record
-	for i, b := range sink.Segs {
-		part, err := flight.ReadAll(bytes.NewReader(b.Bytes()))
-		if err != nil {
-			t.Errorf("%s segment %d: %v", id, i, err)
-			return
-		}
-		recs = append(recs, part...)
+	recs, err := flight.ReadAll(bytes.NewReader(journal))
+	if err != nil {
+		t.Errorf("%s: %v", id, err)
+		return
 	}
 	res, err := tcp.ReplayJournalParallel(recs, 4)
 	if err != nil {
@@ -439,65 +423,66 @@ func auditSealed(t *testing.T, seed uint64, attack bool, who string, sink *seal.
 	for _, d := range res.Divergences {
 		t.Errorf("%s replay divergence: %v", id, d)
 	}
+	auditTamper(t, id, journal)
+}
 
-	// Tamper audit: a single flipped bit in any segment must fail
-	// verification and locate the damaged segment.
-	for i, b := range sink.Segs {
-		data := b.Bytes()
-		pos := len(data) / 2
-		data[pos] ^= 0x10
-		_, err := seal.Verify(sink.Sources(), nil)
-		data[pos] ^= 0x10
-		if err == nil {
-			t.Errorf("%s: flipped bit in segment %d went undetected", id, i)
-			continue
+// auditTamper: each of eight single-bit flips at evenly spaced offsets
+// fails verification, naming the flipped byte's frame or a batch that
+// spans it; and at four evenly spaced places inside a batch, a cut at a
+// record boundary fails as an unsealed tail and a cut one byte later as
+// a truncated frame.
+func auditTamper(t *testing.T, id string, journal []byte) {
+	t.Helper()
+	var starts []int64          // every frame's offset
+	sealEnd := map[int64]bool{} // offsets just past a seal: batch boundaries
+	sc := flight.NewScanner(bytes.NewReader(journal))
+	for prevSeal := false; ; {
+		rec, err := sc.Next()
+		if err == io.EOF {
+			break
 		}
-		name := seal.SegmentName(sink.Prefix, i)
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("%s: segment %d tamper reported against the wrong segment: %v", id, i, err)
-		}
-	}
-
-	// Compaction audit: dropping cold segments' deltas must leave the
-	// chain verifiable and the (delta-less) actions replayable.
-	dropped := 0
-	compacted := &seal.MemSink{Prefix: sink.Prefix}
-	for i, b := range sink.Segs {
-		data := b.Bytes()
-		if i < len(sink.Segs)-1 {
-			out, d, err := seal.CompactBytes(data)
-			if err != nil {
-				t.Errorf("%s compact segment %d: %v", id, i, err)
-				return
-			}
-			data, dropped = out, dropped+d
-		}
-		w, _ := compacted.Next(i)
-		w.Write(data)
-	}
-	if dropped == 0 {
-		t.Errorf("%s: compaction dropped no deltas", id)
-	}
-	if _, err := seal.Verify(compacted.Sources(), nil); err != nil {
-		t.Errorf("%s verify after compaction: %v", id, err)
-		return
-	}
-	recs = recs[:0]
-	for i, b := range compacted.Segs {
-		part, err := flight.ReadAll(bytes.NewReader(b.Bytes()))
 		if err != nil {
-			t.Errorf("%s compacted segment %d: %v", id, i, err)
-			return
+			t.Fatalf("%s: %v", id, err)
 		}
-		recs = append(recs, part...)
+		sealEnd[sc.Offset()] = prevSeal
+		starts = append(starts, sc.Offset())
+		prevSeal = rec.Kind == flight.KindSeal
 	}
-	cres, err := tcp.ReplayJournalParallel(recs, 4)
-	if err != nil {
-		t.Errorf("%s compacted replay: %v", id, err)
-		return
+	frameAt := func(pos int64) int { // index of the frame holding byte pos
+		return sort.Search(len(starts), func(i int) bool { return starts[i] > pos }) - 1
 	}
-	for _, d := range cres.Divergences {
-		t.Errorf("%s compacted replay divergence: %v", id, d)
+	data := append([]byte(nil), journal...)
+	for k := int64(1); k <= 8; k++ {
+		pos := k * int64(len(data)) / 9
+		at := starts[frameAt(pos)]
+		data[pos] ^= 0x10
+		_, err := seal.Verify(bytes.NewReader(data))
+		data[pos] ^= 0x10
+		var ve *seal.VerifyError
+		var co *flight.Corruption
+		switch {
+		case errors.As(err, &ve) && ve.Offset <= at && at <= ve.SealOffset:
+		case errors.As(err, &co) && co.Offset == at:
+		default:
+			t.Errorf("%s: bit flip at %d (frame at %d) not located: %v", id, pos, at, err)
+		}
+	}
+	for k := int64(1); k <= 4; k++ {
+		i := frameAt(k * int64(len(data)) / 5)
+		for i == 0 || sealEnd[starts[i]] {
+			i++ // a batch boundary: step inside the batch
+		}
+		for _, cut := range []int64{starts[i], starts[i] + 1} {
+			_, err := seal.Verify(bytes.NewReader(data[:cut]))
+			var ve *seal.VerifyError
+			var co *flight.Corruption
+			switch {
+			case cut == starts[i] && errors.As(err, &ve) && strings.Contains(ve.Reason, "unsealed tail"):
+			case cut > starts[i] && errors.As(err, &co) && strings.Contains(co.Err.Error(), "truncated"):
+			default:
+				t.Errorf("%s: cut at %d not rejected as a cut: %v", id, cut, err)
+			}
+		}
 	}
 }
 

@@ -857,7 +857,14 @@ func (c *Conn) segment(seqNo, ackNo uint32, flags uint8, wnd uint32, mssOpt int,
 	}
 
 	// FIN.
-	if flags&fFIN != 0 && seqNo+uint32(len(data)) == c.rcvNxt {
+	switch {
+	case flags&fFIN != 0 && c.st == stTimeWait:
+		// The peer's FIN again: our last ACK was lost. Acknowledge it
+		// and restart the 2×MSL timeout (RFC 793, TIME-WAIT).
+		c.xmit(c.sndNxt, fACK, nil, false)
+		c.twT.Clear()
+		c.twT = timers.Start(c.t.s, c.onTimeWait, 2*c.t.cfg.MSL)
+	case flags&fFIN != 0 && seqNo+uint32(len(data)) == c.rcvNxt:
 		c.rcvNxt++
 		c.xmit(c.sndNxt, fACK, nil, false)
 		if c.h.PeerClosed != nil {
@@ -870,9 +877,6 @@ func (c *Conn) segment(seqNo, ackNo uint32, flags uint8, wnd uint32, mssOpt int,
 			c.st = stClosing
 		case stFinWait2:
 			c.enterTimeWait()
-		case stTimeWait:
-			c.twT.Clear()
-			c.twT = timers.Start(c.t.s, c.onTimeWait, 2*c.t.cfg.MSL)
 		}
 	}
 	c.output()

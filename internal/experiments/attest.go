@@ -1,7 +1,7 @@
 package experiments
 
 // The observer attestation. Every sink the stack can attach — the
-// flight journal, the Merkle batcher behind it, the telemetry plane —
+// flight journal, the hash chain sealing it, the telemetry plane —
 // watches the executor's hottest paths through the one seam in
 // internal/tcp, so what it costs is measured and that it changes
 // nothing is checked, both by one harness: the same deterministic bulk
@@ -12,12 +12,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
 	"repro/internal/flight/seal"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -27,9 +25,9 @@ type Sinks uint8
 const (
 	// SinkFlight journals both hosts to counting writers.
 	SinkFlight Sinks = 1 << iota
-	// SinkSeal routes those journals through the Merkle batcher, so the
-	// arm measures hashing, batching and framing with no filesystem in
-	// the loop. Implies SinkFlight.
+	// SinkSeal seals those journals with the hash chain, so the arm
+	// measures hashing and seal framing with no filesystem in the loop.
+	// Implies SinkFlight.
 	SinkSeal
 	// SinkTelemetry attaches a fresh telemetry plane to each host.
 	SinkTelemetry
@@ -55,10 +53,9 @@ func (s Sinks) String() string {
 // countingWriter discards journal bytes but keeps the totals, so the
 // report can say how much journal a run produces. Records are counted by
 // newline: the framing ends every record with '\n' and JSON bodies
-// escape all control characters. It also serves as the seal batcher's
-// segment sink, every segment landing in the same counts.
+// escape all control characters.
 type countingWriter struct {
-	bytes, records, segs int64
+	bytes, records int64
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
@@ -71,13 +68,6 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (w *countingWriter) Next(seg int) (io.WriteCloser, error) {
-	w.segs++
-	return w, nil
-}
-
-func (w *countingWriter) Close() error { return nil }
-
 // ArmResult is one arrangement of sinks: its virtual result, its best
 // real time, and what the sinks collected in the last trial (both hosts
 // together). It is also the arm's shape in foxbench -json output.
@@ -89,7 +79,6 @@ type ArmResult struct {
 	JournalRecords int64                   `json:"journal_records_per_run,omitempty"`
 	JournalBytes   int64                   `json:"journal_bytes_per_run,omitempty"` // seal records included when sealed
 	SealedBatches  int64                   `json:"sealed_batches_per_run,omitempty"`
-	SealedSegments int64                   `json:"sealed_segments_per_run,omitempty"`
 	Actions        uint64                  `json:"actions_per_run,omitempty"`       // executor actions profiled
 	Samples        uint64                  `json:"series_points_per_run,omitempty"` // time-series points recorded
 	Transfer       TransferJSON            `json:"transfer"`
@@ -145,7 +134,7 @@ func runArm(o Options, s Sinks, trials int) ArmResult {
 		for j := range cw {
 			switch {
 			case s&SinkSeal != 0:
-				sw[j] = seal.NewWriter(&cw[j], seal.Options{SegmentBytes: 1 << 20, MIB: new(stats.SealMIB)})
+				sw[j] = seal.NewWriter(&cw[j])
 				opt.FlightSinks = append(opt.FlightSinks, sw[j])
 			case s&SinkFlight != 0:
 				opt.FlightSinks = append(opt.FlightSinks, &cw[j])
@@ -167,11 +156,10 @@ func runArm(o Options, s Sinks, trials int) ArmResult {
 		}
 		arm.JournalBytes = cw[0].bytes + cw[1].bytes
 		arm.JournalRecords = cw[0].records + cw[1].records
-		arm.SealedBatches, arm.SealedSegments, arm.Actions, arm.Samples = 0, 0, 0, 0
+		arm.SealedBatches, arm.Actions, arm.Samples = 0, 0, 0
 		for j := range cw {
 			if sw[j] != nil {
-				arm.SealedBatches += int64(sw[j].Batches())
-				arm.SealedSegments += cw[j].segs
+				arm.SealedBatches += int64(sw[j].MIB().BatchesSealed.Load())
 			}
 			if tl := planes[j]; tl != nil {
 				for k := telemetry.ActKind(0); k < telemetry.NumActKinds; k++ {
@@ -201,7 +189,7 @@ func (a Attestation) format(bytes int) string {
 			fmt.Fprintf(&b, "   journal %d records / %d B", arm.JournalRecords, arm.JournalBytes)
 		}
 		if arm.Sinks&SinkSeal != 0 {
-			fmt.Fprintf(&b, " in %d batches / %d segments, sha256-sealed", arm.SealedBatches, arm.SealedSegments)
+			fmt.Fprintf(&b, " in %d sha256-sealed batches", arm.SealedBatches)
 		}
 		if arm.Sinks&SinkTelemetry != 0 {
 			fmt.Fprintf(&b, "   %d actions profiled, %d series points", arm.Actions, arm.Samples)

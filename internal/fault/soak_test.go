@@ -10,9 +10,12 @@ package fault_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -198,12 +201,9 @@ func runPartitionSoak(t *testing.T, seed uint64, heal bool) {
 		payload[i] = byte(i * 31)
 	}
 
-	var capture bytes.Buffer
-	csink := &seal.MemSink{Prefix: "client"}
-	ssink := &seal.MemSink{Prefix: "server"}
-	sealOpts := seal.Options{BatchSize: 64, SegmentBytes: 256 << 10}
-	crec := flight.NewRecorder(seal.NewWriter(csink, sealOpts))
-	srec := flight.NewRecorder(seal.NewWriter(ssink, sealOpts))
+	var capture, cjournal, sjournal bytes.Buffer
+	crec := flight.NewRecorder(seal.NewWriter(&cjournal))
+	srec := flight.NewRecorder(seal.NewWriter(&sjournal))
 	pw := pcap.NewWriter(&capture)
 	mib := &stats.FaultMIB{}
 
@@ -360,41 +360,34 @@ func runPartitionSoak(t *testing.T, seed uint64, heal bool) {
 	if err := srec.Sync(); err != nil {
 		t.Errorf("seed %d server journal sync: %v", seed, err)
 	}
-	auditFaultJournal(t, seed, name, "client", csink, len(sc.Transitions))
-	auditFaultJournal(t, seed, name, "server", ssink, len(sc.Transitions))
+	auditFaultJournal(t, seed, name, "client", cjournal.Bytes(), len(sc.Transitions))
+	auditFaultJournal(t, seed, name, "server", sjournal.Bytes(), len(sc.Transitions))
 
 	if t.Failed() {
-		files := map[string][]byte{
+		dumpArtifacts(t, seed, name, map[string][]byte{
 			"wire.pcap":      capture.Bytes(),
 			name + ".fsched": []byte(text),
-		}
-		for _, sink := range []*seal.MemSink{csink, ssink} {
-			for i, b := range sink.Segs {
-				files[seal.SegmentName(sink.Prefix, i)] = b.Bytes()
-			}
-		}
-		dumpArtifacts(t, seed, name, files)
+			"client.fjl":     cjournal.Bytes(),
+			"server.fjl":     sjournal.Bytes(),
+		})
 	}
 }
 
 // auditFaultJournal: the sealed chain verifies, the journal carries the
-// full fault timeline as observer records, and the sharded parallel
-// replay reproduces every recorded TCB delta with those records present.
-func auditFaultJournal(t *testing.T, seed uint64, arm, who string, sink *seal.MemSink, wantFaults int) {
+// full fault timeline as observer records, the sharded parallel replay
+// reproduces every recorded TCB delta with those records present, and
+// the journal is tamper-evident (auditTamper).
+func auditFaultJournal(t *testing.T, seed uint64, arm, who string, journal []byte, wantFaults int) {
 	t.Helper()
 	id := fmt.Sprintf("seed %d %s %s", seed, arm, who)
-	if _, err := seal.Verify(sink.Sources(), nil); err != nil {
+	if _, err := seal.Verify(bytes.NewReader(journal)); err != nil {
 		t.Errorf("%s verify: %v", id, err)
 		return
 	}
-	var recs []flight.Record
-	for i, b := range sink.Segs {
-		part, err := flight.ReadAll(bytes.NewReader(b.Bytes()))
-		if err != nil {
-			t.Errorf("%s segment %d: %v", id, i, err)
-			return
-		}
-		recs = append(recs, part...)
+	recs, err := flight.ReadAll(bytes.NewReader(journal))
+	if err != nil {
+		t.Errorf("%s: %v", id, err)
+		return
 	}
 	faults := 0
 	for _, r := range recs {
@@ -413,10 +406,71 @@ func auditFaultJournal(t *testing.T, seed uint64, arm, who string, sink *seal.Me
 	for _, d := range res.Divergences {
 		t.Errorf("%s replay divergence: %v", id, d)
 	}
+	auditTamper(t, id, journal)
 }
 
-// dumpArtifacts writes a failing run's schedule, sealed journal
-// segments, and pcap into $CHAOS_OUT for the CI job to upload.
+// auditTamper: each of eight single-bit flips at evenly spaced offsets
+// fails verification, naming the flipped byte's frame or a batch that
+// spans it; and at four evenly spaced places inside a batch, a cut at a
+// record boundary fails as an unsealed tail and a cut one byte later as
+// a truncated frame.
+func auditTamper(t *testing.T, id string, journal []byte) {
+	t.Helper()
+	var starts []int64          // every frame's offset
+	sealEnd := map[int64]bool{} // offsets just past a seal: batch boundaries
+	sc := flight.NewScanner(bytes.NewReader(journal))
+	for prevSeal := false; ; {
+		rec, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		sealEnd[sc.Offset()] = prevSeal
+		starts = append(starts, sc.Offset())
+		prevSeal = rec.Kind == flight.KindSeal
+	}
+	frameAt := func(pos int64) int { // index of the frame holding byte pos
+		return sort.Search(len(starts), func(i int) bool { return starts[i] > pos }) - 1
+	}
+	data := append([]byte(nil), journal...)
+	for k := int64(1); k <= 8; k++ {
+		pos := k * int64(len(data)) / 9
+		at := starts[frameAt(pos)]
+		data[pos] ^= 0x10
+		_, err := seal.Verify(bytes.NewReader(data))
+		data[pos] ^= 0x10
+		var ve *seal.VerifyError
+		var co *flight.Corruption
+		switch {
+		case errors.As(err, &ve) && ve.Offset <= at && at <= ve.SealOffset:
+		case errors.As(err, &co) && co.Offset == at:
+		default:
+			t.Errorf("%s: bit flip at %d (frame at %d) not located: %v", id, pos, at, err)
+		}
+	}
+	for k := int64(1); k <= 4; k++ {
+		i := frameAt(k * int64(len(data)) / 5)
+		for i == 0 || sealEnd[starts[i]] {
+			i++ // a batch boundary: step inside the batch
+		}
+		for _, cut := range []int64{starts[i], starts[i] + 1} {
+			_, err := seal.Verify(bytes.NewReader(data[:cut]))
+			var ve *seal.VerifyError
+			var co *flight.Corruption
+			switch {
+			case cut == starts[i] && errors.As(err, &ve) && strings.Contains(ve.Reason, "unsealed tail"):
+			case cut > starts[i] && errors.As(err, &co) && strings.Contains(co.Err.Error(), "truncated"):
+			default:
+				t.Errorf("%s: cut at %d not rejected as a cut: %v", id, cut, err)
+			}
+		}
+	}
+}
+
+// dumpArtifacts writes a failing run's schedule, sealed journals, and
+// pcap into $CHAOS_OUT for the CI job to upload.
 func dumpArtifacts(t *testing.T, seed uint64, arm string, files map[string][]byte) {
 	t.Helper()
 	dir := os.Getenv("CHAOS_OUT")

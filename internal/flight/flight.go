@@ -34,7 +34,7 @@ const (
 	KindEnq   = "enq"  // one tcp_action enqueued, with its cause
 	KindBeg   = "beg"  // executor begins performing an enqueued action
 	KindEnd   = "end"  // executor finished it; "d" holds the TCB delta
-	KindSeal  = "seal" // Merkle batch committed into the sealed chain
+	KindSeal  = "seal" // closes a batch of the sealed hash chain (internal/flight/seal)
 	KindFault = "flt"  // scripted fault-plane transition (observer-only)
 )
 
@@ -102,7 +102,7 @@ func (r *Recorder) Seq() uint64 { return r.seq }
 
 // Syncer is the durability seam: a journal writer that can force its
 // buffered state to stable storage. The seal.Writer implements it by
-// sealing the partial batch and flushing the active segment.
+// sealing the partial batch and syncing the writer beneath it.
 type Syncer interface {
 	Sync() error
 }

@@ -263,3 +263,35 @@ func TestEmitNoAllocs(t *testing.T) {
 		t.Errorf("emit path allocates %v times per record batch", n)
 	}
 }
+
+// FuzzScanner: whatever the bytes, the scanner never panics, and every
+// failure is a *Corruption located inside the input.
+func FuzzScanner(f *testing.F) {
+	good := sampleJournal().Bytes()
+	f.Add(good)
+	for _, pos := range []int{0, 2, len(good) / 2, len(good) - 1} {
+		f.Add(good[:pos])
+		bad := append([]byte(nil), good...)
+		bad[pos] ^= 0x40
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := NewScanner(bytes.NewReader(data))
+		for {
+			_, err := sc.Next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				c, ok := err.(*Corruption)
+				if !ok {
+					t.Fatalf("error %T is not a *Corruption: %v", err, err)
+				}
+				if c.Offset > int64(len(data)) {
+					t.Fatalf("corruption at %d, past the %d-byte input", c.Offset, len(data))
+				}
+				return
+			}
+		}
+	})
+}

@@ -58,41 +58,27 @@ type Record struct {
 	EqSeq uint64              `json:"eq"` // seq of the enq record performed
 	Delta map[string][2]int64 `json:"d"`  // end: changed fields, pre/post
 
-	// seal (see internal/flight/seal): one Merkle batch committed into
-	// the sealed hash chain. Hashes are lowercase hex SHA-256.
-	Batch     uint64 `json:"b"`    // batch number, 0-based
-	LeafFirst uint64 `json:"lf"`   // global index of the batch's first leaf
-	LeafN     int    `json:"ln"`   // leaves under this seal
-	Root      string `json:"root"` // Merkle root over the batch's leaf hashes
-	Prev      string `json:"prev"` // previous seal's hash (zeros for batch 0)
-	SealH     string `json:"sh"`   // this seal's chain hash
+	// seal (see internal/flight/seal): closes one batch of the sealed
+	// hash chain.
+	Batch  uint64 `json:"b"`  // batch number, 0-based
+	BatchN int    `json:"ln"` // records in the batch
+	SealH  string `json:"sh"` // the chain hash after it, lowercase hex SHA-256
 
 	// flt: one scripted fault-plane transition (internal/fault) applied
 	// to the wire beneath this host, for divergence attribution.
 	FaultKind   string `json:"fk"` // transition kind, e.g. "partition"
 	FaultDetail string `json:"fd"` // rendered transition arguments
-
-	// compaction tombstone: a cold record whose bulky payload was
-	// dropped keeps the SHA-256 of its original JSON body here, so the
-	// batch root above it still verifies.
-	H string `json:"h"`
 }
 
-// Corruption locates a framing or decoding failure precisely: which
-// segment file, the byte offset of the offending record's frame, and its
-// record index within that segment. Segment is "" when the journal was
-// read from a single stream.
+// Corruption locates a framing or decoding failure precisely: the byte
+// offset of the offending record's frame and its record index.
 type Corruption struct {
-	Segment string
-	Offset  int64
-	Index   int
-	Err     error
+	Offset int64
+	Index  int
+	Err    error
 }
 
 func (c *Corruption) Error() string {
-	if c.Segment != "" {
-		return fmt.Sprintf("segment %s: record %d at offset %d: %v", c.Segment, c.Index, c.Offset, c.Err)
-	}
 	return fmt.Sprintf("record %d at offset %d: %v", c.Index, c.Offset, c.Err)
 }
 

@@ -1,314 +1,170 @@
+// Package seal makes a flight journal tamper-evident with one SHA-256
+// hash chain over record batches. Every BatchSize records, and at every
+// Sync that leaves a partial batch, the Writer appends a seal record
+//
+//	{"k":"seal","b":<batch>,"ln":<records>,"sh":"<hex>"}
+//	sh = SHA256(previous sh ‖ the batch's frames ‖ be64(batch) ‖ be64(records))
+//
+// with the previous sh all zeros before batch 0. Rewriting, dropping or
+// reordering any byte of any record breaks the seal of its batch, and a
+// journal cut after its last seal leaves an unsealed tail; Verify finds
+// either and names the damaged batch's byte range.
+//
+// The seal layer is pure observation: it hashes and frames what the
+// Recorder already emitted and never reaches back into the executor.
+// The quasisync analyzer machine-checks that property for this package,
+// exactly as it does for the record.go observer hooks.
 package seal
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"errors"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"io"
 	"strconv"
 
+	"repro/internal/flight"
 	"repro/internal/stats"
 )
 
-// Defaults for Options zero values.
-const (
-	DefaultBatchSize    = 256     // records per Merkle batch
-	DefaultSegmentBytes = 4 << 20 // segment rotation threshold
-)
+// BatchSize is the number of records a full batch holds.
+const BatchSize = 256
 
-// Options parameterizes a Writer. The zero value is usable: defaults
-// fill in, time-based rotation stays off, and a private MIB group is
-// allocated so increment sites never branch.
-type Options struct {
-	// BatchSize is the number of records per Merkle batch (default
-	// DefaultBatchSize). Smaller batches seal more often — finer
-	// tamper localization, more seal-record overhead.
-	BatchSize int
-
-	// SegmentBytes rotates the segment once it exceeds this size
-	// (default DefaultSegmentBytes; negative disables size rotation).
-	// Rotation happens only at batch boundaries, so every segment ends
-	// with a seal and the chain can be verified segment by segment.
-	SegmentBytes int64
-
-	// SegmentTime rotates the segment once it has been open this long
-	// on the Now clock (0 disables). Virtual nanoseconds in simulation.
-	SegmentTime int64
-
-	// Now is the clock for SegmentTime — the simulation's virtual
-	// clock, so rotation is deterministic and replayable.
-	Now func() int64
-
-	// MIB receives the seal counters; nil allocates a private group.
-	MIB *stats.SealMIB
+// chain is the running state both sides of the seal share: the hash of
+// the open batch, seeded with the chain head.
+type chain struct {
+	h     hash.Hash
+	head  [32]byte // the last seal's sh; zeros before the first
+	batch uint64   // the open batch's number
+	n     int      // records hashed into it
+	buf   []byte   // scratch: the batch trailer, then the seal body
 }
 
-// Sink opens segment files for a Writer. Next is called lazily: segment
-// seg is opened when its first record arrives, never speculatively.
-type Sink interface {
-	Next(seg int) (io.WriteCloser, error)
+func newChain() *chain {
+	c := &chain{h: sha256.New(), buf: make([]byte, 0, 128)}
+	c.h.Write(c.head[:])
+	return c
 }
 
-// errBadFrame is the sticky error for a malformed frame handed to
-// Write — it means the upstream Recorder and this Writer disagree about
-// the journal format, which is unrecoverable.
-var errBadFrame = errors.New("seal: malformed journal frame")
+// seal closes the open batch: it hashes the batch number and record
+// count after the frames, makes the result the chain head, opens the
+// next batch, and returns the seal record's JSON body (valid until the
+// next call).
+//
+//foxvet:hotpath
+func (c *chain) seal() []byte {
+	c.buf = binary.BigEndian.AppendUint64(c.buf[:0], c.batch)
+	c.buf = binary.BigEndian.AppendUint64(c.buf, uint64(c.n))
+	c.h.Write(c.buf)
+	c.h.Sum(c.head[:0])
 
-// Writer is the Merkle batcher: an io.Writer that sits between the
-// flight Recorder and segment files. Each Write carries one
-// length-prefixed journal frame (the Recorder emits exactly one frame
-// per Write); the Writer hashes the record body into the current
-// batch, copies the frame through to the active segment, and at every
-// BatchSize-th record appends a seal record committing the batch's
-// Merkle root into the hash chain. All buffers are Writer-owned and
-// reused, so the steady-state path allocates nothing.
+	c.buf = append(c.buf[:0], `{"k":"seal","b":`...)
+	c.buf = strconv.AppendUint(c.buf, c.batch, 10)
+	c.buf = append(c.buf, `,"ln":`...)
+	c.buf = strconv.AppendInt(c.buf, int64(c.n), 10)
+	c.buf = append(c.buf, `,"sh":"`...)
+	c.buf = hex.AppendEncode(c.buf, c.head[:])
+	c.buf = append(c.buf, `"}`...)
+
+	c.batch++
+	c.n = 0
+	c.h.Reset()
+	c.h.Write(c.head[:])
+	return c.buf
+}
+
+// Writer is an io.Writer over an io.Writer: it copies the Recorder's
+// length-prefixed frames through, feeds them to the open batch's hash,
+// and appends a seal record after every BatchSize-th record. A record
+// ends at its frame's newline (record bodies escape every control
+// character), so a frame may arrive in several Writes. The buffers are
+// the Writer's own and reused, so the steady state allocates nothing.
 //
 // Like the Recorder it serves, a Writer is not safe for concurrent use;
 // it runs inside the simulation scheduler's handoff discipline.
 type Writer struct {
-	sink Sink
-	o    Options
-	err  error
-
-	cur      io.WriteCloser // active segment, nil until first record
-	seg      int            // index of the active (or next) segment
-	segBytes int64          // bytes written to the active segment
-	segAt    int64          // Now() when the active segment opened
-
-	batch     uint64     // next batch number
-	firstLeaf uint64     // global index of leaves[0]
-	leaves    [][32]byte // pending leaf hashes, cap BatchSize
-	scratch   [][32]byte // fold working space, len BatchSize
-	prev      [32]byte   // last seal's chain hash (zeros before batch 0)
-
-	sealBuf []byte // seal-record JSON under construction
-	frame   []byte // its length-prefixed frame
+	w     io.Writer
+	c     *chain
+	mib   stats.SealMIB
+	frame []byte // seal frame under construction
+	err   error
 }
 
-// NewWriter returns a Writer sealing into sink.
-func NewWriter(sink Sink, o Options) *Writer {
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.SegmentBytes == 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.MIB == nil {
-		o.MIB = new(stats.SealMIB)
-	}
-	return &Writer{
-		sink:    sink,
-		o:       o,
-		leaves:  make([][32]byte, 0, o.BatchSize),
-		scratch: make([][32]byte, o.BatchSize),
-		sealBuf: make([]byte, 0, 256),
-		frame:   make([]byte, 0, 288),
-	}
+// NewWriter returns a Writer sealing the journal it passes on to w.
+func NewWriter(w io.Writer) *Writer {
+	return &Writer{w: w, c: newChain(), frame: make([]byte, 0, 160)}
 }
 
-// Err reports the first error, if any; once set, the Writer drops
-// further records.
-func (w *Writer) Err() error { return w.err }
+// MIB returns the Writer's counters, for a host registry's "seal" group.
+func (w *Writer) MIB() *stats.SealMIB { return &w.mib }
 
-// Seg returns the index of the active (or next-to-open) segment.
-func (w *Writer) Seg() int { return w.seg }
-
-// Batches returns how many batches have been sealed.
-func (w *Writer) Batches() uint64 { return w.batch }
-
-// Write accepts journal frames from the Recorder: each frame is hashed
-// into the current batch and copied to the active segment; full batches
-// are sealed and rotation is considered at each seal.
+// Write passes journal frames through and seals every full batch. The
+// first error sticks: the Writer drops everything after it.
 //
 //foxvet:hotpath
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	rest := p
-	for len(rest) > 0 {
-		frame, body, ok := splitFrame(rest)
-		if !ok {
-			w.err = errBadFrame
+	for rest := p; len(rest) > 0; {
+		i := bytes.IndexByte(rest, '\n') + 1
+		if i == 0 {
+			i = len(rest)
+		}
+		chunk := rest[:i]
+		rest = rest[i:]
+		if _, w.err = w.w.Write(chunk); w.err != nil {
 			return 0, w.err
 		}
-		if w.cur == nil {
-			if err := w.open(); err != nil {
-				return 0, err
-			}
+		w.c.h.Write(chunk)
+		if chunk[len(chunk)-1] != '\n' {
+			continue
 		}
-		if _, err := w.cur.Write(frame); err != nil {
-			w.err = err
-			return 0, err
-		}
-		w.segBytes += int64(len(frame))
-		w.leaves = append(w.leaves, sha256.Sum256(body))
-		w.o.MIB.RecordsSealed.Inc()
-		if len(w.leaves) == w.o.BatchSize {
+		w.c.n++
+		w.mib.RecordsSealed.Inc()
+		if w.c.n == BatchSize {
 			if err := w.seal(); err != nil {
 				return 0, err
 			}
-			w.maybeRotate()
 		}
-		rest = rest[len(frame):]
 	}
 	return len(p), nil
 }
 
-// Sync is the durability seam: it force-seals the pending partial batch
-// (so the tail of a run is covered by the chain) and flushes the active
-// segment to stable storage. The Recorder forwards its own Sync here;
-// call it at shutdown so a crash never silently truncates the journal.
+// Sync is the Recorder's durability seam: it seals the partial batch,
+// so the tail of a run is covered by the chain, and then syncs the
+// underlying writer if it is a flight.Syncer. Call it at shutdown;
+// a journal that skips it ends in an unsealed tail.
 func (w *Writer) Sync() error {
 	if w.err != nil {
 		return w.err
 	}
-	if len(w.leaves) > 0 {
+	if w.c.n > 0 {
 		if err := w.seal(); err != nil {
 			return err
 		}
-		w.o.MIB.SyncSeals.Inc()
+		w.mib.SyncSeals.Inc()
 	}
-	if w.cur != nil {
-		if s, ok := w.cur.(interface{ Sync() error }); ok {
-			if err := s.Sync(); err != nil {
-				w.err = err
-				return err
-			}
-		}
+	if s, ok := w.w.(flight.Syncer); ok {
+		w.err = s.Sync()
 	}
-	return nil
-}
-
-// Close seals the pending batch and closes the active segment.
-func (w *Writer) Close() error {
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	w.closeSegment()
 	return w.err
 }
 
-// splitFrame parses one length-prefixed frame from the head of p,
-// returning the whole frame, its JSON body, and whether it was
-// well-formed and complete.
-//
-//foxvet:hotpath
-func splitFrame(p []byte) (frame, body []byte, ok bool) {
-	n := 0
-	i := 0
-	for ; i < len(p); i++ {
-		c := p[i]
-		if c == ' ' {
-			break
-		}
-		if c < '0' || c > '9' {
-			return nil, nil, false
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<20 {
-			return nil, nil, false
-		}
-	}
-	if i == 0 || i == len(p) {
-		return nil, nil, false
-	}
-	end := i + 1 + n
-	if end >= len(p) || p[end] != '\n' {
-		return nil, nil, false
-	}
-	return p[:end+1], p[i+1 : end], true
-}
-
-// seal commits the pending leaves: computes their Merkle root, extends
-// the hash chain, and appends the seal record to the active segment.
+// seal closes the open batch and writes its seal record.
 //
 //foxvet:hotpath
 func (w *Writer) seal() error {
-	n := len(w.leaves)
-	if n == 0 || w.err != nil {
+	body := w.c.seal()
+	w.frame = strconv.AppendInt(w.frame[:0], int64(len(body)), 10)
+	w.frame = append(w.frame, ' ')
+	w.frame = append(w.frame, body...)
+	w.frame = append(w.frame, '\n')
+	if _, w.err = w.w.Write(w.frame); w.err != nil {
 		return w.err
 	}
-	root := fold(w.leaves, w.scratch)
-	sh := chainHash(w.prev, root, w.batch, w.firstLeaf, n)
-
-	w.sealBuf = w.sealBuf[:0]
-	w.sealBuf = append(w.sealBuf, `{"k":"seal","b":`...)
-	w.sealBuf = strconv.AppendUint(w.sealBuf, w.batch, 10)
-	w.sealBuf = append(w.sealBuf, `,"lf":`...)
-	w.sealBuf = strconv.AppendUint(w.sealBuf, w.firstLeaf, 10)
-	w.sealBuf = append(w.sealBuf, `,"ln":`...)
-	w.sealBuf = strconv.AppendInt(w.sealBuf, int64(n), 10)
-	w.sealBuf = append(w.sealBuf, `,"root":"`...)
-	w.sealBuf = appendHex(w.sealBuf, root[:])
-	w.sealBuf = append(w.sealBuf, `","prev":"`...)
-	w.sealBuf = appendHex(w.sealBuf, w.prev[:])
-	w.sealBuf = append(w.sealBuf, `","sh":"`...)
-	w.sealBuf = appendHex(w.sealBuf, sh[:])
-	w.sealBuf = append(w.sealBuf, `"}`...)
-
-	w.frame = w.frame[:0]
-	w.frame = strconv.AppendInt(w.frame, int64(len(w.sealBuf)), 10)
-	w.frame = append(w.frame, ' ')
-	w.frame = append(w.frame, w.sealBuf...)
-	w.frame = append(w.frame, '\n')
-
-	if _, err := w.cur.Write(w.frame); err != nil {
-		w.err = err
-		return err
-	}
-	w.segBytes += int64(len(w.frame))
-	w.prev = sh
-	w.batch++
-	w.firstLeaf += uint64(n)
-	w.leaves = w.leaves[:0]
-	w.o.MIB.BatchesSealed.Inc()
+	w.mib.BatchesSealed.Inc()
 	return nil
-}
-
-// open starts the next segment (lazy: called at the first record that
-// needs one).
-func (w *Writer) open() error {
-	wc, err := w.sink.Next(w.seg)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	w.cur = wc
-	w.segBytes = 0
-	if w.o.Now != nil {
-		w.segAt = w.o.Now()
-	}
-	return nil
-}
-
-// maybeRotate closes the active segment when it has outgrown its size
-// or time budget. Called only at batch boundaries, so every finished
-// segment ends with a seal.
-func (w *Writer) maybeRotate() {
-	if w.cur == nil || w.err != nil {
-		return
-	}
-	switch {
-	case w.o.SegmentBytes > 0 && w.segBytes >= w.o.SegmentBytes:
-	case w.o.SegmentTime > 0 && w.o.Now != nil && w.o.Now()-w.segAt >= w.o.SegmentTime:
-	default:
-		return
-	}
-	w.closeSegment()
-}
-
-// closeSegment closes the active segment and advances the index; the
-// next record opens the successor.
-func (w *Writer) closeSegment() {
-	if w.cur == nil {
-		return
-	}
-	if err := w.cur.Close(); err != nil && w.err == nil {
-		w.err = err
-	}
-	w.cur = nil
-	w.seg++
-	w.o.MIB.SegmentsRotated.Inc()
-	w.o.MIB.BytesRotated.Add(uint64(w.segBytes))
-	w.segBytes = 0
 }

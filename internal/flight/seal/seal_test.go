@@ -4,29 +4,22 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/flight"
-	"repro/internal/stats"
 )
 
-// journal writes n enqueue/beg/end triples through a sealed writer.
-func journal(w *Writer, n int) *flight.Recorder {
+// journal writes a header and n enqueue/beg/end triples: 1+3n records.
+func journal(w io.Writer, n int) *flight.Recorder {
 	r := flight.NewRecorder(w)
 	r.Hdr("host1", 1500, []byte(`{"iw":4096}`))
 	conn := "10.0.0.2:80<->:49152"
-	// A realistically wide delta, so the compaction tombstone (a 64-digit
-	// hash) is actually smaller than what it replaces.
 	var delta []byte
 	delta = flight.AppendDelta(delta, "snd_una", 100000, 100512)
-	delta = flight.AppendDelta(delta, "snd_nxt", 100512, 101024)
-	delta = flight.AppendDelta(delta, "rcv_nxt", 200000, 200512)
 	delta = flight.AppendDelta(delta, "cwnd", 4096, 4632)
-	delta = flight.AppendDelta(delta, "ssthresh", 65535, 32768)
-	delta = flight.AppendDelta(delta, "rto", 1000000, 1200000)
 	for i := 0; i < n; i++ {
 		q := r.Enqueue(int64(i), conn, "Process_Data", []byte("seq=1 flags=16 len=512"))
 		r.Beg(int64(i), conn, q)
@@ -35,420 +28,190 @@ func journal(w *Writer, n int) *flight.Recorder {
 	return r
 }
 
-func TestSealChainRoundTrip(t *testing.T) {
-	mib := new(stats.SealMIB)
-	sink := &MemSink{Prefix: "host1"}
-	w := NewWriter(sink, Options{BatchSize: 8, SegmentBytes: -1, MIB: mib})
-	rec := journal(w, 20) // 61 records: hdr + 20×3
-	if err := rec.Sync(); err != nil {
+// sealed returns a synced sealed journal of 1+3n records.
+func sealed(t testing.TB, n int) []byte {
+	var buf bytes.Buffer
+	if err := journal(NewWriter(&buf), n).Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	rep, err := Verify(sink.Sources(), mib)
+	return buf.Bytes()
+}
+
+// frameStarts returns the offset of every frame in an intact journal.
+func frameStarts(t testing.TB, data []byte) []int64 {
+	sc := flight.NewScanner(bytes.NewReader(data))
+	var out []int64
+	for {
+		_, err := sc.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("pristine journal: %v", err)
+		}
+		out = append(out, sc.Offset())
+	}
+}
+
+// locates reports whether err names the frame holding byte pos: a
+// *flight.Corruption at that frame, or a *VerifyError whose batch spans it.
+func locates(err error, starts []int64, pos int64) bool {
+	at := starts[sort.Search(len(starts), func(i int) bool { return starts[i] > pos })-1]
+	var ve *VerifyError
+	var co *flight.Corruption
+	switch {
+	case errors.As(err, &ve):
+		return ve.Offset <= at && at <= ve.SealOffset
+	case errors.As(err, &co):
+		return co.Offset == at
+	}
+	return false
+}
+
+func TestSealChainRoundTrip(t *testing.T) {
+	var buf, plain bytes.Buffer
+	w := NewWriter(&buf)
+	if err := journal(w, 100).Sync(); err != nil { // 301 records
+		t.Fatalf("Sync: %v", err)
+	}
+	journal(&plain, 100)
+	rep, err := Verify(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if rep.Leaves != 61 {
-		t.Errorf("leaves = %d, want 61", rep.Leaves)
+	if rep.Records != 301 || rep.Batches != 2 || len(rep.Head) != 64 { // 256 + a synced 45
+		t.Errorf("report %+v, want 301 records in 2 batches", rep)
 	}
-	if rep.Batches != 8 { // 7 full batches of 8 + forced partial of 5
-		t.Errorf("batches = %d, want 8", rep.Batches)
+	mib := w.MIB()
+	if mib.RecordsSealed.Load() != 301 || mib.BatchesSealed.Load() != 2 || mib.SyncSeals.Load() != 1 {
+		t.Errorf("MIB: records %d, batches %d, sync seals %d",
+			mib.RecordsSealed.Load(), mib.BatchesSealed.Load(), mib.SyncSeals.Load())
 	}
-	if rep.LastSeal == "" || len(rep.Segments) != 1 {
-		t.Errorf("report: %+v", rep)
-	}
-	if got := mib.SyncSeals.Load(); got != 1 {
-		t.Errorf("SyncSeals = %d, want 1", got)
-	}
-	if got := mib.BatchesSealed.Load(); got != 8 {
-		t.Errorf("BatchesSealed = %d, want 8", got)
-	}
-	if got := mib.RecordsSealed.Load(); got != 61 {
-		t.Errorf("RecordsSealed = %d, want 61", got)
-	}
-	// The seal records decode through the plain flight reader.
-	recs, err := flight.ReadAll(bytes.NewReader(sink.Segs[0].Bytes()))
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	seals := 0
-	for _, r := range recs {
-		if r.Kind == flight.KindSeal {
-			seals++
-			if r.LeafN <= 0 || len(r.Root) != 64 || len(r.SealH) != 64 {
-				t.Errorf("bad seal record: %+v", r)
-			}
+	// The seal records decode through the plain flight reader, and
+	// without them the journal is byte-for-byte the unsealed one.
+	sc := flight.NewScanner(bytes.NewReader(buf.Bytes()))
+	var rest bytes.Buffer
+	var lens []int
+	for {
+		rec, err := sc.Next()
+		if err == io.EOF {
+			break
 		}
-	}
-	if seals != 8 {
-		t.Errorf("seal records = %d, want 8", seals)
-	}
-}
-
-func TestRotation(t *testing.T) {
-	mib := new(stats.SealMIB)
-	sink := &MemSink{Prefix: "host1"}
-	w := NewWriter(sink, Options{BatchSize: 4, SegmentBytes: 1024, MIB: mib})
-	rec := journal(w, 40)
-	if err := rec.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if len(sink.Segs) < 3 {
-		t.Fatalf("got %d segments, want >= 3", len(sink.Segs))
-	}
-	rep, err := Verify(sink.Sources(), mib)
-	if err != nil {
-		t.Fatalf("Verify after rotation: %v", err)
-	}
-	if len(rep.Segments) != len(sink.Segs) {
-		t.Errorf("report covers %d segments, want %d", len(rep.Segments), len(sink.Segs))
-	}
-	if got := mib.SegmentsRotated.Load(); got != uint64(len(sink.Segs)) {
-		t.Errorf("SegmentsRotated = %d, want %d", got, len(sink.Segs))
-	}
-	if mib.BytesRotated.Load() == 0 {
-		t.Error("BytesRotated = 0")
-	}
-	// Every non-final segment ends with a seal record (rotation only at
-	// batch boundaries).
-	for i, seg := range sink.Segs[:len(sink.Segs)-1] {
-		recs, err := flight.ReadAll(bytes.NewReader(seg.Bytes()))
 		if err != nil {
-			t.Fatalf("segment %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if last := recs[len(recs)-1]; last.Kind != flight.KindSeal {
-			t.Errorf("segment %d ends with %q, want seal", i, last.Kind)
+		if rec.Kind == flight.KindSeal {
+			lens = append(lens, rec.BatchN)
+			if rec.Batch != uint64(len(lens)-1) || len(rec.SealH) != 64 {
+				t.Errorf("bad seal record: %+v", rec)
+			}
+			continue
+		}
+		rest.WriteString(strconv.Itoa(len(sc.Body())) + " ")
+		rest.Write(sc.Body())
+		rest.WriteByte('\n')
+	}
+	if len(lens) != 2 || lens[0] != BatchSize || lens[1] != 45 {
+		t.Errorf("batch lengths %v, want [256 45]", lens)
+	}
+	if !bytes.Equal(rest.Bytes(), plain.Bytes()) {
+		t.Error("sealed journal minus its seals differs from the unsealed journal")
+	}
+}
+
+// Any flipped bit anywhere fails verification, and the error names the
+// frame or the batch that holds it.
+func TestTamperDetectedInEveryBatch(t *testing.T) {
+	pristine := sealed(t, 100)
+	starts := frameStarts(t, pristine)
+	for pos := 5; pos < len(pristine); pos += 97 {
+		data := append([]byte(nil), pristine...)
+		data[pos] ^= 0x10
+		_, err := Verify(bytes.NewReader(data))
+		if err == nil {
+			t.Fatalf("bit flip at %d not detected", pos)
+		}
+		if !locates(err, starts, int64(pos)) {
+			t.Errorf("bit flip at %d reported elsewhere: %v", pos, err)
 		}
 	}
 }
 
-// Any flipped bit in any segment must fail verification with a located
-// error.
-func TestTamperDetectedInEverySegment(t *testing.T) {
-	sink := &MemSink{Prefix: "host1"}
-	w := NewWriter(sink, Options{BatchSize: 4, SegmentBytes: 1024})
-	rec := journal(w, 40)
-	if err := rec.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	pristine := make([][]byte, len(sink.Segs))
-	for i, s := range sink.Segs {
-		pristine[i] = append([]byte(nil), s.Bytes()...)
-	}
-	if _, err := Verify(sink.Sources(), nil); err != nil {
-		t.Fatalf("pristine journal must verify: %v", err)
-	}
-	for si := range pristine {
-		for _, pos := range []int{10, len(pristine[si]) / 2, len(pristine[si]) - 10} {
-			data := append([]byte(nil), pristine[si]...)
-			data[pos] ^= 0x01
-			srcs := make([]Source, len(pristine))
-			for i := range pristine {
-				d := pristine[i]
-				if i == si {
-					d = data
-				}
-				dd := d
-				srcs[i] = Source{Name: SegmentName("host1", i), Open: func() (io.ReadCloser, error) {
-					return io.NopCloser(bytes.NewReader(dd)), nil
-				}}
-			}
-			mib := new(stats.SealMIB)
-			_, err := Verify(srcs, mib)
-			if err == nil {
-				t.Fatalf("segment %d bit flip at %d not detected", si, pos)
-			}
-			if mib.VerifyFailures.Load() != 1 {
-				t.Errorf("VerifyFailures = %d, want 1", mib.VerifyFailures.Load())
-			}
-			var ve *VerifyError
-			var co *flight.Corruption
-			switch {
-			case errors.As(err, &ve):
-				if ve.Segment != SegmentName("host1", si) {
-					t.Errorf("flip in segment %d located in %q", si, ve.Segment)
-				}
-			case errors.As(err, &co):
-				if co.Segment != SegmentName("host1", si) {
-					t.Errorf("flip in segment %d located in %q", si, co.Segment)
-				}
-			default:
-				t.Errorf("error does not locate the damage: %v", err)
-			}
-		}
-	}
-}
-
-// A digit flip that keeps the JSON valid is caught by the Merkle root,
-// not the framing.
-func TestSemanticTamperCaughtByRoot(t *testing.T) {
-	sink := &MemSink{Prefix: "host1"}
-	w := NewWriter(sink, Options{BatchSize: 4, SegmentBytes: -1})
-	rec := journal(w, 8)
-	if err := rec.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), sink.Segs[0].Bytes()...)
+// A digit flip that keeps the framing and the JSON valid is caught by
+// the chain, and the error spans the altered record.
+func TestSemanticTamperCaughtByChain(t *testing.T) {
+	pristine := sealed(t, 8)
+	data := append([]byte(nil), pristine...)
 	i := bytes.Index(data, []byte(`"at":3`))
 	if i < 0 {
 		t.Fatal("marker not found")
 	}
 	data[i+len(`"at":`)] = '7' // same byte count: framing stays intact
-	src := []Source{{Name: "host1.0000.fjl", Open: func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(data)), nil
-	}}}
-	_, err := Verify(src, nil)
+	_, err := Verify(bytes.NewReader(data))
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("want VerifyError, got %v", err)
 	}
-	if !strings.Contains(ve.Reason, "Merkle root mismatch") {
-		t.Errorf("reason: %s", ve.Reason)
+	if !strings.Contains(ve.Reason, "do not match") || !locates(err, frameStarts(t, pristine), int64(i)) {
+		t.Errorf("got %v", ve)
 	}
 }
 
-// The DirSink buffers; without Sync the tail is lost, with Sync it is
-// sealed and durable — the mid-batch-cut regression.
+// syncLog records what reached it and when it was synced.
+type syncLog struct {
+	bytes.Buffer
+	synced int // buffer length at the last Sync
+}
+
+func (s *syncLog) Sync() error { s.synced = s.Len(); return nil }
+
+// Sync seals the partial batch before it syncs the writer beneath, so
+// what reaches stable storage always verifies.
 func TestSyncDurability(t *testing.T) {
-	dir := t.TempDir()
-
-	// Without Sync: the recorder is dropped mid-batch and the buffered
-	// tail never reaches the file.
-	w := NewWriter(&DirSink{Dir: dir, Prefix: "cut"}, Options{BatchSize: 64, SegmentBytes: -1})
-	journal(w, 5)
-	cut, err := os.ReadFile(filepath.Join(dir, SegmentName("cut", 0)))
-	if err != nil {
-		t.Fatalf("read cut segment: %v", err)
+	var sink syncLog
+	r := journal(NewWriter(&sink), 5)
+	if _, err := Verify(bytes.NewReader(sink.Bytes())); err == nil {
+		t.Fatal("a journal with no seal yet verified")
 	}
-	if len(cut) != 0 {
-		t.Errorf("unsynced mid-batch journal leaked %d bytes to disk before Sync", len(cut))
-	}
-
-	// With Sync: everything is on disk and the chain verifies.
-	w = NewWriter(&DirSink{Dir: dir, Prefix: "ok"}, Options{BatchSize: 64, SegmentBytes: -1})
-	rec := journal(w, 5)
-	if err := rec.Sync(); err != nil {
+	if err := r.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	journals, err := DiscoverDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if sink.synced != sink.Len() {
+		t.Fatalf("synced at %d of %d bytes: the seal came after the sync", sink.synced, sink.Len())
 	}
-	for _, j := range journals {
-		if j.Prefix != "ok" {
-			continue
-		}
-		rep, err := Verify(j.Sources(), nil)
-		if err != nil {
-			t.Fatalf("Verify synced journal: %v", err)
-		}
-		if rep.Leaves != 16 {
-			t.Errorf("leaves = %d, want 16", rep.Leaves)
-		}
+	rep, err := Verify(bytes.NewReader(sink.Bytes()))
+	if err != nil || rep.Records != 16 || rep.Batches != 1 {
+		t.Fatalf("synced journal: %+v, %v", rep, err)
 	}
 }
 
-// A journal cut mid-batch (records after the last seal) fails strict
-// verification with an actionable message.
+// A journal cut after its last seal fails strict verification with an
+// actionable message that spans the tail.
 func TestUnsealedTailRejected(t *testing.T) {
-	sink := &MemSink{Prefix: "host1"}
-	w := NewWriter(sink, Options{BatchSize: 4, SegmentBytes: -1})
-	journal(w, 5) // 16 records: 4 sealed batches, no Sync — 0 pending... make it uneven
-	// 16 records = exactly 4 batches; add one more record to leave a tail.
-	r2 := flight.NewRecorder(w)
-	r2.Enqueue(99, "c", "Maybe_Send", nil)
-	_, err := Verify(sink.Sources(), nil)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	r := journal(w, 90) // 271 records: one full batch, 15 unsealed
+	_, err := Verify(bytes.NewReader(buf.Bytes()))
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("want VerifyError for unsealed tail, got %v", err)
 	}
-	if !strings.Contains(ve.Reason, "unsealed tail") {
-		t.Errorf("reason: %s", ve.Reason)
+	if !strings.Contains(ve.Reason, "unsealed tail") || ve.Batch != 1 ||
+		ve.Index != BatchSize+1 || ve.SealIndex != 272 || ve.SealOffset != int64(buf.Len()) {
+		t.Errorf("got %+v", ve)
+	}
+	if err := r.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Verify(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Errorf("after Sync: %v", err)
 	}
 }
 
-func TestCompaction(t *testing.T) {
-	mib := new(stats.SealMIB)
-	sink := &MemSink{Prefix: "host1"}
-	w := NewWriter(sink, Options{BatchSize: 4, SegmentBytes: 1024, MIB: mib})
-	rec := journal(w, 40)
-	if err := rec.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.Segs) < 2 {
-		t.Fatalf("need multiple segments, got %d", len(sink.Segs))
-	}
-	orig := sink.Segs[0].Bytes()
-	compacted, dropped, err := CompactBytes(orig)
-	if err != nil {
-		t.Fatalf("CompactBytes: %v", err)
-	}
-	if dropped == 0 || len(compacted) >= len(orig) {
-		t.Fatalf("compaction dropped %d deltas, %d -> %d bytes", dropped, len(orig), len(compacted))
-	}
-	// The chain still verifies with the compacted segment in place.
-	srcs := sink.Sources()
-	srcs[0] = Source{Name: srcs[0].Name, Open: func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(compacted)), nil
-	}}
-	if _, err := Verify(srcs, nil); err != nil {
-		t.Fatalf("Verify after compaction: %v", err)
-	}
-	// Compacting again is a no-op.
-	again, d2, err := CompactBytes(compacted)
-	if err != nil || d2 != 0 || len(again) != len(compacted) {
-		t.Errorf("recompaction: dropped %d, %d -> %d bytes, err %v", d2, len(compacted), len(again), err)
-	}
-	// But tampering with a compacted record is still caught.
-	bad := append([]byte(nil), compacted...)
-	i := bytes.Index(bad, []byte(`"h":"`))
-	if i < 0 {
-		t.Fatal("no tombstone found")
-	}
-	if bad[i+6] != 'f' {
-		bad[i+6] = 'f'
-	} else {
-		bad[i+6] = '0'
-	}
-	srcs[0] = Source{Name: srcs[0].Name, Open: func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(bad)), nil
-	}}
-	if _, err := Verify(srcs, nil); err == nil {
-		t.Error("tampered tombstone hash not detected")
-	}
-}
-
-func TestCompactDirKeepsActive(t *testing.T) {
-	dir := t.TempDir()
-	mib := new(stats.SealMIB)
-	w := NewWriter(&DirSink{Dir: dir, Prefix: "h"}, Options{BatchSize: 4, SegmentBytes: 1024, MIB: mib})
-	rec := journal(w, 40)
-	if err := rec.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	journals, err := DiscoverDir(dir)
-	if err != nil || len(journals) != 1 {
-		t.Fatalf("discover: %v %v", journals, err)
-	}
-	nseg := len(journals[0].Files)
-	if nseg < 3 {
-		t.Fatalf("need >= 3 segments, got %d", nseg)
-	}
-	lastBefore, _ := os.ReadFile(journals[0].Files[nseg-1])
-	files, dropped, err := CompactDir(dir, 1, mib)
-	if err != nil {
-		t.Fatalf("CompactDir: %v", err)
-	}
-	if files != nseg-1 || dropped == 0 {
-		t.Errorf("compacted %d files (%d deltas), want %d files", files, dropped, nseg-1)
-	}
-	lastAfter, _ := os.ReadFile(journals[0].Files[nseg-1])
-	if !bytes.Equal(lastBefore, lastAfter) {
-		t.Error("active segment was compacted")
-	}
-	if _, err := Verify(journals[0].Sources(), nil); err != nil {
-		t.Fatalf("Verify after CompactDir: %v", err)
-	}
-	if mib.Compactions.Load() != uint64(files) {
-		t.Errorf("Compactions = %d, want %d", mib.Compactions.Load(), files)
-	}
-}
-
-func TestInclusionProof(t *testing.T) {
-	sink := &MemSink{Prefix: "host1"}
-	w := NewWriter(sink, Options{BatchSize: 8, SegmentBytes: 2048})
-	rec := journal(w, 30)
-	if err := rec.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Verify(sink.Sources(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, leaf := range []uint64{0, 7, 8, rep.Leaves - 1} {
-		p, err := Prove(sink.Sources(), leaf)
-		if err != nil {
-			t.Fatalf("Prove(%d): %v", leaf, err)
-		}
-		if err := p.Check(); err != nil {
-			t.Errorf("proof %d does not check: %v", leaf, err)
-		}
-		if p.Leaf != leaf || len(p.Record) == 0 {
-			t.Errorf("proof %d: %+v", leaf, p)
-		}
-		// A forged record body must not check.
-		forged := *p
-		forged.Record = `{"k":"enq","q":999}`
-		if err := forged.Check(); err == nil {
-			t.Errorf("forged record body passed proof %d", leaf)
-		}
-	}
-	if _, err := Prove(sink.Sources(), rep.Leaves+100); err == nil {
-		t.Error("proof for nonexistent record should fail")
-	}
-}
-
-// Proofs survive compaction: the tombstone's stored hash takes the
-// original body's place as the leaf.
-func TestProofAfterCompaction(t *testing.T) {
-	sink := &MemSink{Prefix: "host1"}
-	w := NewWriter(sink, Options{BatchSize: 8, SegmentBytes: -1})
-	rec := journal(w, 16)
-	if err := rec.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	compacted, dropped, err := CompactBytes(sink.Segs[0].Bytes())
-	if err != nil || dropped == 0 {
-		t.Fatalf("compact: %d %v", dropped, err)
-	}
-	srcs := []Source{{Name: "host1.0000.fjl", Open: func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(compacted)), nil
-	}}}
-	p, err := Prove(srcs, 3) // an end record, now a tombstone
-	if err != nil {
-		t.Fatalf("Prove: %v", err)
-	}
-	if err := p.Check(); err != nil {
-		t.Errorf("compacted proof does not check: %v", err)
-	}
-}
-
-func TestDiscoverDirGroupsAndOrders(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"b.0001.fjl", "b.0000.fjl", "a.fjl", "b.0002.fjl", "ignore.txt"} {
-		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	journals, err := DiscoverDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(journals) != 2 {
-		t.Fatalf("got %d journals: %+v", len(journals), journals)
-	}
-	if journals[0].Prefix != "a" || journals[0].Sealed || len(journals[0].Files) != 1 {
-		t.Errorf("journal a: %+v", journals[0])
-	}
-	if journals[1].Prefix != "b" || !journals[1].Sealed || len(journals[1].Files) != 3 {
-		t.Errorf("journal b: %+v", journals[1])
-	}
-	for i, f := range journals[1].Files {
-		if want := SegmentName("b", i); filepath.Base(f) != want {
-			t.Errorf("file %d = %s, want %s", i, f, want)
-		}
-	}
-}
-
-// The steady-state emit path through the batcher — including sealing a
+// The steady-state emit path through the Writer — including sealing a
 // full batch — must not allocate.
 func TestSealedEmitNoAllocs(t *testing.T) {
-	w := NewWriter(discardSink{}, Options{BatchSize: 8, SegmentBytes: -1})
+	w := NewWriter(io.Discard)
 	r := flight.NewRecorder(w)
 	args := []byte("seq=12345 flags=24 len=512 rexmits=0")
 	var delta []byte
@@ -456,27 +219,81 @@ func TestSealedEmitNoAllocs(t *testing.T) {
 	delta = flight.AppendDelta(delta, "cwnd", 4096, 4632)
 	conn := "10.0.0.2:80<->:49152"
 	emit := func() {
-		// 4 records per call: with BatchSize 8, every other call seals.
 		q := r.Enqueue(12345, conn, "Process_Data", args)
 		r.Beg(12345, conn, q)
 		r.End(conn, q, delta)
 		r.Enqueue(12345, conn, "Maybe_Send", nil)
 	}
-	emit()
-	emit() // warm: first seal has happened, buffers at working size
-	if n := testing.AllocsPerRun(200, emit); n > 0 {
+	for i := 0; i < BatchSize/4; i++ {
+		emit() // warm: a batch sealed, buffers at working size
+	}
+	if n := testing.AllocsPerRun(200, emit); n > 0 { // 800 records, 3 seals
 		t.Errorf("sealed emit path allocates %v times per 4 records", n)
 	}
-	if r.Err() != nil {
-		t.Fatalf("recorder error: %v", r.Err())
+	if n := w.MIB().BatchesSealed.Load(); r.Err() != nil || n < 4 {
+		t.Fatalf("recorder error %v, %d batches", r.Err(), n)
 	}
 }
 
-type discardSink struct{}
-
-func (discardSink) Next(seg int) (io.WriteCloser, error) { return nopWC{}, nil }
-
-type nopWC struct{}
-
-func (nopWC) Write(p []byte) (int, error) { return len(p), nil }
-func (nopWC) Close() error                { return nil }
+// FuzzVerify: Verify never panics, fails only with a located error, and
+// accepts only what a Writer writes — an accepted journal re-seals byte
+// for byte from its records and the places it synced.
+func FuzzVerify(f *testing.F) {
+	var buf bytes.Buffer
+	r := journal(NewWriter(&buf), 3)
+	r.Sync()
+	r.UserOp(7, "c", "close", 0)
+	r.Sync()
+	small := append([]byte(nil), buf.Bytes()...)
+	full := sealed(f, 90)
+	for _, seed := range [][]byte{small, full} {
+		f.Add(seed)
+		for _, pos := range []int{0, 3, len(seed) / 3, len(seed) / 2, len(seed) - 20, len(seed) - 1} {
+			flipped := append([]byte(nil), seed...)
+			flipped[pos] ^= 0x04
+			f.Add(flipped)
+			f.Add(seed[:pos])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := Verify(bytes.NewReader(data))
+		if err != nil {
+			switch e := err.(type) {
+			case *VerifyError:
+				if e.Offset > e.SealOffset || e.SealOffset > int64(len(data)) {
+					t.Fatalf("range outside the input: %v", e)
+				}
+			case *flight.Corruption:
+				if e.Offset > int64(len(data)) {
+					t.Fatalf("offset outside the input: %v", e)
+				}
+			default:
+				t.Fatalf("unlocated error %T: %v", err, err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		w := NewWriter(&out)
+		sc := flight.NewScanner(bytes.NewReader(data))
+		for {
+			rec, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("accepted journal does not scan: %v", err)
+			}
+			if rec.Kind == flight.KindSeal {
+				if rec.BatchN < BatchSize {
+					w.Sync()
+				}
+				continue
+			}
+			body := sc.Body()
+			w.Write([]byte(strconv.Itoa(len(body)) + " " + string(body) + "\n"))
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted journal (%+v) does not re-seal byte for byte", rep)
+		}
+	})
+}

@@ -1,201 +1,101 @@
 package seal
 
 import (
-	"crypto/sha256"
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/flight"
-	"repro/internal/stats"
 )
 
-// SegmentInfo is one segment's row in a verification report — what
-// `foxstat -seals` prints.
-type SegmentInfo struct {
-	Name      string `json:"name"`
-	Bytes     int64  `json:"bytes"`
-	Records   int    `json:"records"` // including seal records
-	Seals     int    `json:"seals"`
-	FirstLeaf uint64 `json:"firstLeaf"` // global index of the first leaf
-	Leaves    int    `json:"leaves"`    // records hashed into batches
-	LastRoot  string `json:"lastRoot,omitempty"`
-	LastSeal  string `json:"lastSeal,omitempty"`
-}
-
-// Report summarizes a successful chain verification.
+// Report summarizes a journal whose chain verified.
 type Report struct {
-	Segments []SegmentInfo `json:"segments"`
-	Batches  uint64        `json:"batches"`
-	Leaves   uint64        `json:"leaves"`
-	LastSeal string        `json:"lastSeal,omitempty"`
+	Batches uint64 `json:"batches"`
+	Records uint64 `json:"records"` // journal records, seals not counted
+	Head    string `json:"head"`    // the last seal's sh; "" for an empty journal
 }
 
-// VerifyError pinpoints where verification failed: the segment, the
-// byte offset of the offending record's frame, and its record index
-// within the segment. For a Merkle-root mismatch the location is the
-// seal whose batch no longer folds to the sealed root (the journal
-// cannot say which leaf was rewritten — only that one was).
+// VerifyError names the batch that failed and both ends of it: the
+// first record under the failing seal and the seal itself. The altered
+// bytes lie in a record from Offset to the end of the seal's frame. For
+// an unsealed tail the "seal" is the journal's end: SealOffset is its
+// length and SealIndex its record count.
 type VerifyError struct {
-	Segment string
-	Offset  int64
-	Index   int
-	Reason  string
+	Batch      uint64
+	Offset     int64 // first record of the batch
+	Index      int
+	SealOffset int64 // the batch's seal record
+	SealIndex  int
+	Reason     string
 }
 
 func (e *VerifyError) Error() string {
-	return fmt.Sprintf("seal verification failed: segment %s: record %d at offset %d: %s",
-		e.Segment, e.Index, e.Offset, e.Reason)
+	return fmt.Sprintf("seal verification failed: batch %d, records %d..%d at offsets %d..%d: %s",
+		e.Batch, e.Index, e.SealIndex, e.Offset, e.SealOffset, e.Reason)
 }
 
-// Verify walks a journal's segments in order, recomputing every batch's
-// Merkle root and the sealed hash chain, and fails on the first record
-// that does not check out. Compacted records verify through their
-// stored leaf hash. Every leaf must be covered by a seal: an unsealed
-// tail (a crash that outran Sync) is reported, not ignored. A framing
-// or JSON failure surfaces as *flight.Corruption, a chain failure as
+// Verify reads a sealed journal and recomputes its chain. It accepts
+// exactly what a Writer produces: every seal record byte-identical to
+// the one the Writer would have written, no batch longer than
+// BatchSize, no empty batch, no record after the last seal. A framing
+// or JSON failure comes back as *flight.Corruption, a chain failure as
 // *VerifyError; both locate the damage.
-func Verify(srcs []Source, mib *stats.SealMIB) (*Report, error) {
-	if mib == nil {
-		mib = new(stats.SealMIB)
-	}
-	mib.VerifyRuns.Inc()
+func Verify(r io.Reader) (*Report, error) {
+	sc := flight.NewScanner(r)
+	c := newChain()
 	rep := &Report{}
 	var (
-		prev      [32]byte   // last seal's chain hash
-		batch     uint64     // next expected batch number
-		nextLeaf  uint64     // global index of the next leaf
-		pending   [][32]byte // leaves since the last seal
-		pendFirst uint64     // global index of pending[0]
-		pendSeg   string     // where the first pending leaf lives...
-		pendOff   int64
-		pendIdx   int
+		first    int64 // offset and index of the open batch's first record
+		firstIdx int
+		end      int64 // offset just past the last record read
 	)
-	fail := func(seg string, off int64, idx int, format string, args ...any) (*Report, error) {
-		mib.VerifyFailures.Inc()
-		return rep, &VerifyError{Segment: seg, Offset: off, Index: idx, Reason: fmt.Sprintf(format, args...)}
+	fail := func(batch uint64, off int64, idx int, format string, args ...any) (*Report, error) {
+		return rep, &VerifyError{Batch: batch, Offset: first, Index: firstIdx,
+			SealOffset: off, SealIndex: idx, Reason: fmt.Sprintf(format, args...)}
 	}
-	for si, src := range srcs {
-		rc, err := src.Open()
+	for {
+		rec, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			mib.VerifyFailures.Inc()
 			return rep, err
 		}
-		cr := &countReader{r: rc}
-		sc := flight.NewScanner(cr)
-		info := SegmentInfo{Name: src.Name, FirstLeaf: nextLeaf}
-		for {
-			rec, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if c, ok := err.(*flight.Corruption); ok {
-					c.Segment = src.Name
-				}
-				mib.VerifyFailures.Inc()
-				rc.Close()
-				return rep, err
-			}
-			info.Records++
-			if rec.Kind != flight.KindSeal {
-				var leaf [32]byte
-				if rec.H != "" {
-					h, ok := parseHex(rec.H)
-					if !ok {
-						rc.Close()
-						return fail(src.Name, sc.Offset(), sc.Index()-1, "compacted record carries a malformed leaf hash %q", rec.H)
-					}
-					leaf = h
-				} else {
-					leaf = sha256.Sum256(sc.Body())
-				}
-				if len(pending) == 0 {
-					pendFirst, pendSeg, pendOff, pendIdx = nextLeaf, src.Name, sc.Offset(), sc.Index()-1
-				}
-				pending = append(pending, leaf)
-				nextLeaf++
-				info.Leaves++
-				continue
-			}
-			off, idx := sc.Offset(), sc.Index()-1
-			switch {
-			case rec.LeafN <= 0:
-				rc.Close()
-				return fail(src.Name, off, idx, "seal covers no records (ln=%d)", rec.LeafN)
-			case rec.Batch != batch:
-				rc.Close()
-				return fail(src.Name, off, idx, "seal batch %d out of order, want %d", rec.Batch, batch)
-			case rec.LeafFirst != pendFirst || rec.LeafN != len(pending):
-				rc.Close()
-				return fail(src.Name, off, idx, "seal covers leaves %d..%d, journal holds %d..%d",
-					rec.LeafFirst, rec.LeafFirst+uint64(rec.LeafN)-1, pendFirst, pendFirst+uint64(len(pending))-1)
-			}
-			root := foldRoot(pending)
-			if hexOf(root) != rec.Root {
-				rc.Close()
-				return fail(src.Name, off, idx, "Merkle root mismatch over leaves %d..%d: a record under this seal was altered",
-					pendFirst, pendFirst+uint64(len(pending))-1)
-			}
-			if hexOf(prev) != rec.Prev {
-				rc.Close()
-				return fail(src.Name, off, idx, "hash chain broken: seal %d names prev %.16s…, chain holds %.16s…",
-					rec.Batch, rec.Prev, hexOf(prev))
-			}
-			sh := chainHash(prev, root, batch, pendFirst, len(pending))
-			if hexOf(sh) != rec.SealH {
-				rc.Close()
-				return fail(src.Name, off, idx, "seal hash mismatch on batch %d", rec.Batch)
-			}
-			prev = sh
-			batch++
-			pending = pending[:0]
-			info.Seals++
-			info.LastRoot = rec.Root
-			info.LastSeal = rec.SealH
+		off, idx, body := sc.Offset(), sc.Index()-1, sc.Body()
+		if c.n == 0 {
+			first, firstIdx = off, idx
 		}
-		rc.Close()
-		info.Bytes = cr.n
-		rep.Segments = append(rep.Segments, info)
-		if len(pending) > 0 && si < len(srcs)-1 {
-			return fail(pendSeg, pendOff, pendIdx, "segment ends mid-batch: %d records unsealed before rotation", len(pending))
+		if rec.Kind != flight.KindSeal {
+			if c.n == BatchSize {
+				return fail(c.batch, off, idx, "more than %d records without a seal", BatchSize)
+			}
+			// Hash the frame as the Writer saw it.
+			c.buf = strconv.AppendInt(c.buf[:0], int64(len(body)), 10)
+			c.buf = append(c.buf, ' ')
+			c.buf = append(c.buf, body...)
+			c.buf = append(c.buf, '\n')
+			c.h.Write(c.buf)
+			c.n++
+			end = off + int64(len(c.buf))
+			rep.Records++
+			continue
 		}
+		batch, n := c.batch, c.n
+		if n == 0 {
+			return fail(batch, off, idx, "seal covers no records")
+		}
+		if !bytes.Equal(c.seal(), body) {
+			return fail(batch, off, idx, "its %d records do not match the seal: a record or the seal was altered", n)
+		}
+		rep.Batches++
 	}
-	if len(pending) > 0 {
-		return fail(pendSeg, pendOff, pendIdx, "unsealed tail: %d records after the last seal (missing Sync before shutdown?)", len(pending))
+	if c.n > 0 {
+		return fail(c.batch, end, sc.Index(), "unsealed tail: %d records after the last seal (missing Sync before shutdown?)", c.n)
 	}
-	rep.Batches = batch
-	rep.Leaves = nextLeaf
-	if batch > 0 {
-		rep.LastSeal = hexOf(prev)
+	if rep.Batches > 0 {
+		rep.Head = hex.EncodeToString(c.head[:])
 	}
 	return rep, nil
-}
-
-// VerifyDir verifies every sealed journal found in dir, returning the
-// reports keyed by journal prefix in discovery order.
-func VerifyDir(dir string, mib *stats.SealMIB) (map[string]*Report, error) {
-	journals, err := DiscoverDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]*Report{}
-	for _, j := range journals {
-		rep, err := Verify(j.Sources(), mib)
-		if err != nil {
-			return out, err
-		}
-		out[j.Prefix] = rep
-	}
-	return out, nil
-}
-
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

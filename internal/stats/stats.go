@@ -172,20 +172,14 @@ type HardenMIB struct {
 	MemBytes                Gauge   // bytes charged to the endpoint memory account
 }
 
-// SealMIB counts the flight journal's tamper-evidence machinery: Merkle
-// batches committed into the sealed chain, segment rotations, compaction
-// passes, and chain verifications. SNMP has no audit-log group; the
-// names follow the seal package's own vocabulary.
+// SealMIB counts the flight journal's seal writer: records hashed into
+// the chain, batches sealed, and the partial batches Sync sealed. SNMP
+// has no audit-log group; the names follow the seal package's own
+// vocabulary.
 type SealMIB struct {
-	RecordsSealed   Counter // journal records hashed into a batch
-	BatchesSealed   Counter // Merkle roots committed into the chain
-	SegmentsRotated Counter // segment files closed and rotated out
-	BytesRotated    Counter // bytes in rotated-out segments
-	SyncSeals       Counter // partial batches force-sealed by Sync
-	Compactions     Counter // segment files rewritten by compaction
-	DeltasDropped   Counter // end-record TCB deltas dropped by compaction
-	VerifyRuns      Counter // chain verifications attempted
-	VerifyFailures  Counter // chain verifications that found tampering
+	RecordsSealed Counter // journal records hashed into a batch
+	BatchesSealed Counter // seal records written
+	SyncSeals     Counter // partial batches sealed by Sync
 }
 
 // FaultMIB counts the scripted fault plane's activity: every schedule

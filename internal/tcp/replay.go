@@ -264,12 +264,6 @@ func ReplayJournal(recs []flight.Record) (*ReplayResult, error) {
 				continue
 			}
 			rcn.inBeg = false
-			if rec.H != "" && rec.Delta == nil {
-				// Compacted tombstone: the beg/end pairing survives, but
-				// the delta audit for this action is gone with the delta.
-				// The seal chain still attests the original via rec.H.
-				continue
-			}
 			post := rcn.c.snapTCB()
 			for name := range rec.Delta {
 				if snapIndex(name) < 0 {

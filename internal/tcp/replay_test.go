@@ -184,16 +184,16 @@ func TestReplayDetectsTamperedDelta(t *testing.T) {
 	}
 }
 
-// sealedRun is recordedRun with both journals routed through Merkle
-// batchers into in-memory segment sinks, synced at shutdown.
-func sealedRun(t *testing.T, wcfg wire.Config, o seal.Options, body func(s *sim.Scheduler, a, b tcpHost)) (sa, sb *seal.MemSink) {
+// sealedRun is recordedRun with both journals sealed into memory,
+// synced at shutdown.
+func sealedRun(t *testing.T, wcfg wire.Config, body func(s *sim.Scheduler, a, b tcpHost)) (ja, jb *bytes.Buffer) {
 	t.Helper()
-	sa, sb = &seal.MemSink{Prefix: "a"}, &seal.MemSink{Prefix: "b"}
+	ja, jb = new(bytes.Buffer), new(bytes.Buffer)
 	s := sim.New(sim.Config{})
 	s.Run(func() {
 		seg := wire.NewSegment(s, wcfg, nil)
-		ra := flight.NewRecorder(seal.NewWriter(sa, o))
-		rb := flight.NewRecorder(seal.NewWriter(sb, o))
+		ra := flight.NewRecorder(seal.NewWriter(ja))
+		rb := flight.NewRecorder(seal.NewWriter(jb))
 		a, b := buildRecordedPair(s, seg, tcp.Config{Flight: ra}, tcp.Config{Flight: rb})
 		body(s, a, b)
 		if err := ra.Sync(); err != nil {
@@ -203,29 +203,13 @@ func sealedRun(t *testing.T, wcfg wire.Config, o seal.Options, body func(s *sim.
 			t.Errorf("sync b: %v", err)
 		}
 	})
-	return sa, sb
+	return ja, jb
 }
 
-// readSegments decodes a rotated multi-segment journal by walking the
-// segments in order — the reader-side equivalent of rotation.
-func readSegments(t *testing.T, sink *seal.MemSink) []flight.Record {
-	t.Helper()
-	var recs []flight.Record
-	for i, seg := range sink.Segs {
-		part, err := flight.ReadAll(bytes.NewReader(seg.Bytes()))
-		if err != nil {
-			t.Fatalf("segment %d: %v", i, err)
-		}
-		recs = append(recs, part...)
-	}
-	return recs
-}
-
-// A sealed, rotated, multi-segment journal verifies and replays
-// divergence-free: seal records are attestation, not machine history.
-func TestReplaySealedRotatedJournal(t *testing.T) {
-	o := seal.Options{BatchSize: 32, SegmentBytes: 16 << 10}
-	sa, sb := sealedRun(t, wire.Config{Loss: 0.05, Seed: 7}, o, func(s *sim.Scheduler, a, b tcpHost) {
+// A sealed journal verifies and replays divergence-free: seal records
+// are attestation, not machine history.
+func TestReplaySealedJournal(t *testing.T) {
+	ja, jb := sealedRun(t, wire.Config{Loss: 0.05, Seed: 7}, func(s *sim.Scheduler, a, b tcpHost) {
 		var server *tcp.Conn
 		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler { server = c; return tcp.Handler{} })
 		conn, err := a.TCP.Open(b.A, 80, tcp.Handler{})
@@ -241,73 +225,18 @@ func TestReplaySealedRotatedJournal(t *testing.T) {
 		})
 		s.Sleep(10 * time.Minute)
 	})
-	if len(sa.Segs) < 2 {
-		t.Fatalf("client journal did not rotate: %d segments", len(sa.Segs))
-	}
-	for side, sink := range map[string]*seal.MemSink{"client": sa, "server": sb} {
-		if _, err := seal.Verify(sink.Sources(), nil); err != nil {
+	for side, j := range map[string]*bytes.Buffer{"client": ja, "server": jb} {
+		rep, err := seal.Verify(bytes.NewReader(j.Bytes()))
+		if err != nil {
 			t.Fatalf("%s verify: %v", side, err)
 		}
-		recs := readSegments(t, sink)
-		res, err := tcp.ReplayJournal(recs)
-		if err != nil {
-			t.Fatalf("%s replay: %v", side, err)
+		if rep.Batches < 2 {
+			t.Errorf("%s: %d batches, want a full one and more", side, rep.Batches)
 		}
-		for _, d := range res.Divergences {
-			t.Errorf("%s: %v", side, d)
-		}
+		res := replaySide(t, side, j)
 		if res.Actions == 0 {
 			t.Fatalf("%s replay performed no actions", side)
 		}
-	}
-}
-
-// Compacted cold segments still replay: the beg/end pairing survives in
-// the tombstones, the dropped deltas are simply no longer audited, and
-// the seal chain still attests the originals.
-func TestReplayCompactedJournal(t *testing.T) {
-	o := seal.Options{BatchSize: 32, SegmentBytes: 16 << 10}
-	sa, _ := sealedRun(t, wire.Config{}, o, func(s *sim.Scheduler, a, b tcpHost) {
-		var server *tcp.Conn
-		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler { server = c; return tcp.Handler{} })
-		conn, err := a.TCP.Open(b.A, 80, tcp.Handler{})
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		s.Fork("writer", func() { conn.Write(make([]byte, 64_000)); conn.Shutdown() })
-		got := make([]byte, 64_000)
-		s.Fork("reader", func() { server.ReadFull(got) })
-		s.Sleep(time.Minute)
-	})
-	if len(sa.Segs) < 2 {
-		t.Fatalf("journal did not rotate: %d segments", len(sa.Segs))
-	}
-	// Compact every segment but the last, as CompactDir would.
-	dropped := 0
-	for i := 0; i < len(sa.Segs)-1; i++ {
-		out, d, err := seal.CompactBytes(sa.Segs[i].Bytes())
-		if err != nil {
-			t.Fatalf("compact segment %d: %v", i, err)
-		}
-		sa.Segs[i].Reset()
-		sa.Segs[i].Write(out)
-		dropped += d
-	}
-	if dropped == 0 {
-		t.Fatal("compaction dropped nothing")
-	}
-	if _, err := seal.Verify(sa.Sources(), nil); err != nil {
-		t.Fatalf("verify after compaction: %v", err)
-	}
-	res, err := tcp.ReplayJournal(readSegments(t, sa))
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	for _, d := range res.Divergences {
-		t.Errorf("compacted replay: %v", d)
-	}
-	if res.Actions == 0 {
-		t.Fatal("replay performed no actions")
 	}
 }
 
