@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint foxvet foxvet-json foxvet-baseline statemachine-dot sessiontype-dot copyflow-dot bench perf perf-gate chaos audit telemetry fmt
+.PHONY: build test check lint foxvet foxvet-json statemachine-dot sessiontype-dot copyflow-dot bench perf perf-gate chaos audit telemetry fmt
 
 build:
 	$(GO) build ./...
@@ -15,13 +15,6 @@ test:
 # README.md.
 foxvet:
 	$(GO) run ./cmd/foxvet ./...
-
-# foxvet-baseline records the current findings to foxvet.baseline.json.
-# Use it only when landing a new analyzer ahead of the last legacy fix
-# (run with `foxvet -baseline foxvet.baseline.json`); the tree ships
-# with zero findings, so the recorded ledger should normally be empty.
-foxvet-baseline:
-	$(GO) run ./cmd/foxvet -write-baseline foxvet.baseline.json ./...
 
 # foxvet-json writes the self-describing report object (foxvet/v2:
 # schema, analyzers, findings) to foxvet.json — the artifact CI uploads
@@ -121,25 +114,28 @@ chaos:
 # foxstat run seals both hosts' journals with the SHA-256 hash chain
 # into audit-journals/ and prints each chain head, then foxreplay
 # verifies every chain and replay-audits the journals with sharded
-# workers. Any flipped bit in either journal fails the verify step.
+# workers — past the point-event (ev) records, which replay skips. Any
+# flipped bit in either journal fails the verify step.
 audit:
 	rm -rf audit-journals
 	$(GO) run ./cmd/foxstat -scenario lossy -flight audit-journals -seal
 	$(GO) run ./cmd/foxreplay -verify -workers 4 audit-journals
 
 # telemetry gates the observers: the unit and integration tests
-# (histogram goldens, seqlock rings, zero-alloc emit, endpoint smoke, the
-# purity matrix over every sink), then the attestation — foxbench runs
-# the same transfer unobserved, journaled, sealed, telemetered and with
-# everything attached, and attests only if the virtual results match
-# exactly in every arm — and finally a foxstat scrape proves the /metrics
-# rendering end to end.
+# (histogram goldens, the journal's event and series views, zero-alloc
+# emit, endpoint smoke, the purity matrix over every sink), then the
+# attestation — foxbench runs the same transfer unobserved, journaled,
+# sealed, telemetered and with everything attached, and attests only if
+# the virtual results match exactly in every arm — and finally a foxstat
+# scrape proves the /metrics rendering end to end: the plane's
+# histograms, and the per-connection gauges read from the journals.
 telemetry:
-	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/seqplot/ ./cmd/foxstat/
-	$(GO) test -race -count=1 -run 'TestTelemetry|NoAllocs' ./internal/tcp/ ./internal/experiments/
+	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/flight/ ./internal/seqplot/ ./cmd/foxstat/
+	$(GO) test -race -count=1 -run 'TestTelemetry|NoAllocs|SeriesFields' ./internal/tcp/ ./internal/experiments/
 	$(GO) run ./cmd/foxbench -flight -telemetry -bytes 200000 | tee /dev/stderr | grep -q "identical off/on in every arm"
 	$(GO) run ./cmd/foxstat -scrape metrics.txt
 	grep -q "^fox_action_latency_ns" metrics.txt
+	grep -q "^fox_conn_cwnd_bytes" metrics.txt
 
 fmt:
 	gofmt -w .

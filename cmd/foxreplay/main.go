@@ -18,7 +18,8 @@
 //	                                  tampered journal is refused, with
 //	                                  the damaged byte range named
 //	foxreplay -workers 8 journals/    shard connections across workers
-//	foxreplay -causal 117 run.fjl     print action #117's cause chain
+//	foxreplay -causal 117 run.fjl     print action #117's cause chain and
+//	                                  the point events it raised
 //	foxreplay -dot run.fjl            emit the causal graph as Graphviz
 package main
 
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/flight"
 	"repro/internal/flight/seal"
@@ -126,10 +128,18 @@ func process(path string, causal uint64, dot, quiet, verify bool, workers int) b
 			return false
 		}
 		for i, r := range chain {
-			for j := 0; j < i; j++ {
-				fmt.Print("  ")
+			fmt.Println(strings.Repeat("  ", i) + flight.Describe(r))
+		}
+		// Then the point events the action raised as it was performed.
+		performing := false
+		for i := range recs {
+			r := &recs[i]
+			switch {
+			case (r.Kind == flight.KindBeg || r.Kind == flight.KindEnd) && r.EqSeq == causal:
+				performing = r.Kind == flight.KindBeg
+			case performing && r.Kind == flight.KindEvent:
+				fmt.Println(strings.Repeat("  ", len(chain)) + flight.Describe(r))
 			}
-			fmt.Println(flight.Describe(r))
 		}
 		return true
 	}

@@ -1,9 +1,11 @@
 // Command foxstat runs a scenario on the simulated stack and prints the
 // stack-wide statistics the metrics registry collected: RFC 2011/2012-style
 // MIB counter groups for every layer of every host, per-connection TCP
-// statistics out of the TCB, scheduler and wire substrate counters, and the
-// structured event ring (state transitions, retransmissions, RTO backoff,
-// zero windows, RSTs).
+// statistics out of the TCB, scheduler and wire substrate counters, and
+// every point event (state transitions, retransmissions, RTO backoff,
+// zero windows, RSTs). Every host is journaled — into -flight DIR, or
+// into memory — and the events, the per-connection series and the
+// fox_conn_* gauges are read from the journals after the run.
 //
 //	foxstat                      handshake, transfer, close on a lossless wire
 //	foxstat -scenario lossy      the same transfer on a 10% lossy wire (seed 7)
@@ -24,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -37,9 +40,10 @@ import (
 
 	"repro/foxnet"
 	"repro/internal/adversary"
+	"repro/internal/flight"
 	"repro/internal/flight/seal"
 	"repro/internal/ip"
-	"repro/internal/stats"
+	"repro/internal/tcp"
 )
 
 type connJSON struct {
@@ -79,10 +83,32 @@ func connStatsJSON(c *foxnet.Conn) connJSON {
 	}
 }
 
+// eventJSON is one point event in foxstat's output, rendered from its
+// journal record.
+type eventJSON struct {
+	At     int64  `json:"at_ns"`
+	Kind   string `json:"kind"`
+	Conn   string `json:"conn,omitempty"`
+	Detail string `json:"detail,omitempty"`
+}
+
+func eventOf(r *flight.Record) eventJSON {
+	return eventJSON{At: r.At, Kind: r.EvKind, Conn: r.Conn, Detail: tcp.DescribeEvent(r.EvKind, r.EvA, r.EvB)}
+}
+
+// String renders the event as one aligned report line.
+func (e eventJSON) String() string {
+	conn := e.Conn
+	if conn == "" {
+		conn = "-"
+	}
+	return fmt.Sprintf("%12v %-8s %-24s %s", time.Duration(e.At), e.Kind, conn, e.Detail)
+}
+
 type hostJSON struct {
 	Snapshot    json.RawMessage `json:"snapshot"`
 	Connections []connJSON      `json:"connections"`
-	Events      []stats.Event   `json:"events"`
+	Events      []eventJSON     `json:"events"`
 }
 
 type docJSON struct {
@@ -93,16 +119,176 @@ type docJSON struct {
 	Seals     map[string]*seal.Report `json:"seals,omitempty"`
 }
 
+// scenario is one named setup: the wire, the hosts, and an optional
+// fault schedule.
+type scenario struct {
+	name     string
+	wire     foxnet.WireConfig
+	hosts    []*foxnet.HostConfig
+	fault    foxnet.FaultSchedule
+	faultMIB *foxnet.FaultMIB
+}
+
+func newScenario(name string) (*scenario, bool) {
+	sc := &scenario{name: name, hosts: []*foxnet.HostConfig{{}, {}}}
+	switch name {
+	case "transfer":
+	case "lossy":
+		sc.wire = foxnet.WireConfig{Loss: 0.10, Seed: 7}
+	case "hostile":
+		sc.wire = foxnet.WireConfig{Loss: 0.05, Seed: 7}
+		// A small SYN backlog makes the flood's evictions visible in the
+		// hard group; the third host carries the attacker.
+		sc.hosts = []*foxnet.HostConfig{{}, {TCP: foxnet.TCPConfig{MaxSynBacklog: 32}}, {}}
+	default:
+		f, ok := foxnet.NamedFault(name)
+		if !ok {
+			return nil, false
+		}
+		// A mildly lossy wire keeps the fault schedule honest: recovery
+		// happens under background loss, not on a perfect medium.
+		sc.fault, sc.faultMIB = f, &foxnet.FaultMIB{}
+		sc.wire = foxnet.WireConfig{Loss: 0.02, Seed: 7}
+	}
+	return sc, true
+}
+
+// result is one finished run, with every host's journal read back.
+type result struct {
+	net       *foxnet.Network
+	conns     []*foxnet.Conn
+	substrate *foxnet.Registry
+	journals  []hostJournal // index-aligned with net.Hosts
+	seals     map[string]*seal.Report
+}
+
+// hostJournal is what one host's flight journal says about the run: its
+// point events and every connection's series.
+type hostJournal struct {
+	host   string
+	events []eventJSON
+	series []connSeries
+}
+
+type connSeries struct {
+	conn string
+	pts  []flight.Point
+}
+
+func newHostJournal(host string, recs []flight.Record) hostJournal {
+	hj := hostJournal{host: host}
+	evs := flight.Events(recs)
+	for i := range evs {
+		hj.events = append(hj.events, eventOf(&evs[i]))
+	}
+	seen := map[string]bool{}
+	for i := range recs {
+		if c := recs[i].Conn; recs[i].Kind == flight.KindOpen && !seen[c] {
+			seen[c] = true
+			hj.series = append(hj.series, connSeries{c, flight.Series(recs, c)})
+		}
+	}
+	return hj
+}
+
+// run plays the scenario with every host journaled — into flightDir
+// when one is given, sealed if asked, and otherwise into memory — and
+// reads the journals back.
+func (sc *scenario) run(n int, flightDir string, sealed bool) (*result, error) {
+	journals := make([]bytes.Buffer, len(sc.hosts))
+	for i, hc := range sc.hosts {
+		if flightDir != "" {
+			hc.FlightDir, hc.FlightSeal = flightDir, sealed
+		} else {
+			hc.TCP.Flight = foxnet.NewFlightRecorder(&journals[i])
+		}
+	}
+
+	s := foxnet.NewScheduler(foxnet.SchedulerConfig{})
+	res := &result{substrate: foxnet.NewRegistry("net"), seals: map[string]*seal.Report{}}
+	if sc.faultMIB != nil {
+		res.substrate.Register("fault", sc.faultMIB)
+	}
+	var openErr error
+	s.Run(func() {
+		net := foxnet.NewNetwork(s, sc.wire, len(sc.hosts), sc.hosts...)
+		res.net = net
+		net.RegisterSubstrateMetrics(res.substrate)
+		a, b := net.Host(0), net.Host(1)
+
+		b.TCP.Listen(80, func(c *foxnet.Conn) foxnet.Handler {
+			res.conns = append(res.conns, c)
+			return foxnet.Handler{
+				Data:       func(c *foxnet.Conn, d []byte) {},
+				PeerClosed: func(c *foxnet.Conn) { c.Shutdown() },
+			}
+		})
+		conn, err := a.TCP.Open(b.Addr, 80, foxnet.Handler{})
+		if err != nil {
+			// Exiting belongs to the OS side of the program; the
+			// coroutine only records the failure (foxvet noblock).
+			openErr = err
+			return
+		}
+		res.conns = append(res.conns, conn)
+		if sc.name == "hostile" {
+			// conns[0] is the server-side connection: its accept upcall
+			// ran during the handshake Open just completed.
+			attack(s, net, res.conns[0], conn.LocalPort())
+		}
+		if sc.faultMIB != nil {
+			// The schedule's offsets count from the established
+			// connection, so the faults hit the transfer itself.
+			net.StartFault(sc.fault, sc.faultMIB)
+		}
+		conn.Write(make([]byte, n))
+		conn.Close()
+		// Long enough for retransmissions and TIME-WAIT on the lossy wire.
+		s.Sleep(30 * time.Second)
+	})
+	if openErr != nil {
+		return nil, fmt.Errorf("open: %w", openErr)
+	}
+
+	// Seal the partial batch and flush the journals: sealed journal
+	// writes are buffered, and an unsynced sealed journal fails
+	// verification by design (its tail is not attested).
+	for i, h := range res.net.Hosts {
+		if err := h.SyncFlight(); err != nil {
+			return nil, fmt.Errorf("%s: flight sync: %w", h.Name, err)
+		}
+		data := journals[i].Bytes()
+		if flightDir != "" {
+			var err error
+			if data, err = os.ReadFile(filepath.Join(flightDir, h.Name+".fjl")); err != nil {
+				return nil, err
+			}
+		}
+		if sealed {
+			rep, err := seal.Verify(bytes.NewReader(data))
+			if err != nil {
+				return nil, fmt.Errorf("%s: seal verify: %w", h.Name, err)
+			}
+			res.seals[h.Name] = rep
+		}
+		recs, err := flight.ReadAll(bytes.NewReader(data))
+		if err != nil {
+			return nil, fmt.Errorf("%s: journal: %w", h.Name, err)
+		}
+		res.journals = append(res.journals, newHostJournal(h.Name, recs))
+	}
+	return res, nil
+}
+
 func main() {
-	scenario := flag.String("scenario", "transfer",
+	name := flag.String("scenario", "transfer",
 		"transfer | lossy | hostile | "+strings.Join(foxnet.FaultScenarios(), " | "))
 	bytes := flag.Int("bytes", 64_000, "payload size for the transfer")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of text")
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
-	ringN := flag.Int("ring", 0, "event-ring capacity per host (0 takes the default)")
-	flightDir := flag.String("flight", "", "record per-host flight journals into this directory (replay with foxreplay)")
+	flightDir := flag.String("flight", "", "record per-host flight journals into this directory (replay with foxreplay); without it the journals stay in memory")
 	sealed := flag.Bool("seal", false, "seal the -flight journals with a SHA-256 hash chain and, after the run, verify each and print its chain head (foxreplay -verify checks them later)")
-	serveAddr := flag.String("serve", "", "serve live telemetry over HTTP on this address (/metrics, /conns, /series/<conn>, /profile); keeps serving after the run until interrupted")
+	serveAddr := flag.String("serve", "", "serve telemetry over HTTP on this address (/metrics live; /conns, /series/<conn> and the MIB once the run ends; /profile); keeps serving after the run until interrupted")
 	watch := flag.Duration("watch", 0, "print periodic telemetry snapshots to stderr at this interval while the scenario runs")
 	scrapePath := flag.String("scrape", "", "after the run, render the Prometheus /metrics payload to this file")
 	flag.Parse()
@@ -110,39 +296,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "foxstat: -seal requires -flight DIR")
 		os.Exit(2)
 	}
-
-	wcfg := foxnet.WireConfig{}
-	hosts := 2
-	hostCfgs := []*foxnet.HostConfig{nil, nil}
-	var faultSched foxnet.FaultSchedule
-	var faultMIB *foxnet.FaultMIB
-	switch *scenario {
-	case "transfer":
-	case "lossy":
-		wcfg.Loss = 0.10
-		wcfg.Seed = 7
-	case "hostile":
-		wcfg.Loss = 0.05
-		wcfg.Seed = 7
-		hosts = 3
-		// A small SYN backlog makes the flood's evictions visible in the
-		// hard group; the third host carries the attacker.
-		hostCfgs = []*foxnet.HostConfig{nil, {TCP: foxnet.TCPConfig{MaxSynBacklog: 32}}, nil}
-	default:
-		sc, ok := foxnet.NamedFault(*scenario)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scenario: %s (want transfer, lossy, hostile, %s)\n",
-				*scenario, strings.Join(foxnet.FaultScenarios(), ", "))
-			os.Exit(2)
-		}
-		// A mildly lossy wire keeps the fault schedule honest: recovery
-		// happens under background loss, not on a perfect medium.
-		faultSched = sc
-		faultMIB = &foxnet.FaultMIB{}
-		wcfg.Loss = 0.02
-		wcfg.Seed = 7
+	sc, ok := newScenario(*name)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown scenario: %s (want transfer, lossy, hostile, %s)\n",
+			*name, strings.Join(foxnet.FaultScenarios(), ", "))
+		os.Exit(2)
 	}
-	if faultMIB != nil {
+	if sc.faultMIB != nil {
 		// Unless the user sized the payload, make the transfer long
 		// enough to still be in flight when the schedule starts hurting
 		// the wire — a 64 KB default finishes before the first fault.
@@ -152,46 +312,16 @@ func main() {
 			*bytes = 2_000_000
 		}
 	}
-	telemetered := *serveAddr != "" || *watch > 0 || *scrapePath != ""
-	if *ringN > 0 || *flightDir != "" || telemetered {
-		for i := range hostCfgs {
-			if hostCfgs[i] == nil {
-				hostCfgs[i] = &foxnet.HostConfig{}
-			}
-			if *ringN > 0 {
-				hostCfgs[i].Metrics = foxnet.NewRegistrySized(fmt.Sprintf("host%d", i+1), *ringN)
-			}
-			hostCfgs[i].FlightDir = *flightDir
-			hostCfgs[i].FlightSeal = *sealed
-			if telemetered {
-				hostCfgs[i].Telemetry = foxnet.NewTelemetry(foxnet.TelemetryOptions{})
-			}
-		}
-	}
-	var planes []*foxnet.Telemetry
-	var planeNames []string
-	if telemetered {
-		for i, hc := range hostCfgs {
-			planes = append(planes, hc.Telemetry)
-			planeNames = append(planeNames, fmt.Sprintf("host%d", i+1))
-		}
-	}
-
-	s := foxnet.NewScheduler(foxnet.SchedulerConfig{})
-	var net *foxnet.Network
-	var conns []*foxnet.Conn
-	var openErr error
-	substrate := foxnet.NewRegistry("net")
-	if faultMIB != nil {
-		substrate.Register("fault", faultMIB)
-	}
-
 	// The exporter and the watcher run on OS goroutines concurrent with
 	// the simulation; until finish() flips the done flag they read only
 	// the planes' atomics.
-	var srv *liveServer
-	if telemetered {
-		srv = newLiveServer(planes, planeNames)
+	srv := &liveServer{}
+	if *serveAddr != "" || *watch > 0 || *scrapePath != "" {
+		for i, hc := range sc.hosts {
+			hc.Telemetry = foxnet.NewTelemetry()
+			srv.planes = append(srv.planes, hc.Telemetry)
+			srv.names = append(srv.names, fmt.Sprintf("host%d", i+1))
+		}
 	}
 	if *serveAddr != "" {
 		go func() {
@@ -205,56 +335,20 @@ func main() {
 	var watchStop chan struct{}
 	if *watch > 0 {
 		watchStop = make(chan struct{})
-		go watchLoop(os.Stderr, planes, planeNames, *watch, watchStop)
+		go watchLoop(os.Stderr, srv.planes, srv.names, *watch, watchStop)
 	}
 
-	s.Run(func() {
-		net = foxnet.NewNetwork(s, wcfg, hosts, hostCfgs...)
-		net.RegisterSubstrateMetrics(substrate)
-		a, b := net.Host(0), net.Host(1)
-
-		b.TCP.Listen(80, func(c *foxnet.Conn) foxnet.Handler {
-			conns = append(conns, c)
-			return foxnet.Handler{
-				Data:       func(c *foxnet.Conn, d []byte) {},
-				PeerClosed: func(c *foxnet.Conn) { c.Shutdown() },
-			}
-		})
-		conn, err := a.TCP.Open(b.Addr, 80, foxnet.Handler{})
-		if err != nil {
-			// Exiting belongs to the OS side of the program; the
-			// coroutine only records the failure (foxvet noblock).
-			openErr = err
-			return
-		}
-		conns = append(conns, conn)
-		if *scenario == "hostile" {
-			// conns[0] is the server-side connection: its accept upcall
-			// ran during the handshake Open just completed.
-			attack(s, net, conns[0], conn.LocalPort())
-		}
-		if faultMIB != nil {
-			// The schedule's offsets count from the established
-			// connection, so the faults hit the transfer itself.
-			net.StartFault(faultSched, faultMIB)
-		}
-		conn.Write(make([]byte, *bytes))
-		conn.Close()
-		// Long enough for retransmissions and TIME-WAIT on the lossy wire.
-		s.Sleep(30 * time.Second)
-	})
+	res, err := sc.run(*bytes, *flightDir, *sealed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "foxstat:", err)
+		os.Exit(1)
+	}
 	if watchStop != nil {
 		close(watchStop)
 		// One final snapshot so a short run still shows its end state.
-		writeWatch(os.Stderr, planes, planeNames)
+		writeWatch(os.Stderr, srv.planes, srv.names, res.journals)
 	}
-	if srv != nil {
-		srv.finish(net, conns, substrate)
-	}
-	if openErr != nil {
-		fmt.Fprintln(os.Stderr, "open:", openErr)
-		os.Exit(1)
-	}
+	srv.finish(res)
 	if *scrapePath != "" {
 		f, err := os.Create(*scrapePath)
 		if err != nil {
@@ -265,30 +359,6 @@ func main() {
 		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "foxstat:", err)
 			os.Exit(1)
-		}
-	}
-
-	// Seal the partial batch and flush the journals: sealed journal
-	// writes are buffered, and an unsynced sealed journal fails
-	// verification by design (its tail is not attested).
-	if *flightDir != "" {
-		for _, h := range net.Hosts {
-			if err := h.SyncFlight(); err != nil {
-				fmt.Fprintf(os.Stderr, "foxstat: %s: flight sync: %v\n", h.Name, err)
-				os.Exit(1)
-			}
-		}
-	}
-	var sealReports map[string]*seal.Report
-	if *sealed {
-		sealReports = map[string]*seal.Report{}
-		for _, h := range net.Hosts {
-			rep, err := verifyJournal(filepath.Join(*flightDir, h.Name+".fjl"))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "foxstat: %s: seal verify: %v\n", h.Name, err)
-				os.Exit(1)
-			}
-			sealReports[h.Name] = rep
 		}
 	}
 
@@ -304,26 +374,16 @@ func main() {
 	}
 
 	if *jsonOut {
-		writeJSON(out, net, conns, substrate, *scenario, *bytes, sealReports)
+		writeJSON(out, res, *name, *bytes)
 	} else {
-		writeText(out, net, conns, substrate)
-		writeSeals(out, sealReports)
+		writeText(out, res)
+		writeSeals(out, res.seals)
 	}
 
 	if *serveAddr != "" {
 		fmt.Fprintln(os.Stderr, "foxstat: run complete; still serving (Ctrl-C to stop)")
 		select {}
 	}
-}
-
-// verifyJournal checks one sealed journal file's chain.
-func verifyJournal(path string) (*seal.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return seal.Verify(f)
 }
 
 // writeSeals prints the -seal summary: one chain line per host.
@@ -402,10 +462,10 @@ func connsOf(h *foxnet.Host, conns []*foxnet.Conn) []*foxnet.Conn {
 	return out
 }
 
-func writeText(out io.Writer, net *foxnet.Network, conns []*foxnet.Conn, substrate *foxnet.Registry) {
-	for _, h := range net.Hosts {
+func writeText(out io.Writer, res *result) {
+	for i, h := range res.net.Hosts {
 		fmt.Fprint(out, h.Stats.Snapshot().Text())
-		for _, c := range connsOf(h, conns) {
+		for _, c := range connsOf(h, res.conns) {
 			st := c.Stats()
 			fmt.Fprintf(out, "conn %s\n", c.Name())
 			fmt.Fprintf(out, "  state %v  in %d B / %d segs  out %d B / %d segs\n",
@@ -415,33 +475,32 @@ func writeText(out io.Writer, net *foxnet.Network, conns []*foxnet.Conn, substra
 				st.Retransmits, st.DupAcks, st.SendWindow, st.CongWindow,
 				st.Ssthresh, st.FlightSize, st.RecvWindow, st.ToDoHighWater)
 		}
-		ring := h.Stats.Ring()
-		if n := ring.Len(); n > 0 {
-			fmt.Fprintf(out, "events (%d of %d recorded)\n", n, ring.Total())
-			for _, e := range ring.Events() {
+		if evs := res.journals[i].events; len(evs) > 0 {
+			fmt.Fprintf(out, "events (%d)\n", len(evs))
+			for _, e := range evs {
 				fmt.Fprintf(out, "  %s\n", e)
 			}
 		}
 		fmt.Fprintln(out)
 	}
-	fmt.Fprint(out, substrate.Snapshot().Text())
+	fmt.Fprint(out, res.substrate.Snapshot().Text())
 }
 
-func writeJSON(out io.Writer, net *foxnet.Network, conns []*foxnet.Conn, substrate *foxnet.Registry, scenario string, bytes int, seals map[string]*seal.Report) {
-	doc := docJSON{Scenario: scenario, Bytes: bytes, Seals: seals}
-	for _, h := range net.Hosts {
+func writeJSON(out io.Writer, res *result, scenario string, bytes int) {
+	doc := docJSON{Scenario: scenario, Bytes: bytes, Seals: res.seals}
+	for i, h := range res.net.Hosts {
 		snap, err := h.Stats.Snapshot().JSON()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "foxstat:", err)
 			os.Exit(1)
 		}
-		hj := hostJSON{Snapshot: snap, Events: h.Stats.Ring().Events()}
-		for _, c := range connsOf(h, conns) {
+		hj := hostJSON{Snapshot: snap, Events: res.journals[i].events}
+		for _, c := range connsOf(h, res.conns) {
 			hj.Connections = append(hj.Connections, connStatsJSON(c))
 		}
 		doc.Hosts = append(doc.Hosts, hj)
 	}
-	snap, err := substrate.Snapshot().JSON()
+	snap, err := res.substrate.Snapshot().JSON()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "foxstat:", err)
 		os.Exit(1)

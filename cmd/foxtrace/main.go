@@ -1,13 +1,14 @@
 // Command foxtrace runs a scenario on the simulated stack and prints the
 // do_traces output of every layer — a tcpdump for the virtual network,
 // with the quasi-synchronous action queue visible per connection. It is
-// the paper's do_prints/do_traces facility packaged as a tool.
+// the paper's do_prints/do_traces facility packaged as a tool. Every
+// point event (state transitions, retransmissions, resets) is a trace
+// line as it happens; foxstat lists them per host from the journal.
 //
 //	foxtrace                       three-way handshake, small transfer, close
 //	foxtrace -scenario lossy       retransmission and recovery on a 10% lossy wire
 //	foxtrace -scenario special     the Fig. 3 TCP-over-Ethernet stack
 //	foxtrace -scenario ping        ARP resolution and ICMP echo
-//	foxtrace -events               append each host's structured event ring
 package main
 
 import (
@@ -28,7 +29,6 @@ func main() {
 	raw := flag.Bool("raw", false, "decode raw frames off the wire instead of layer traces")
 	pcapPath := flag.String("pcap", "", "also write the raw frames to a libpcap file (open it in Wireshark)")
 	svgPath := flag.String("svg", "", "also write a tcptrace-style sequence-time diagram (SVG)")
-	events := flag.Bool("events", false, "dump each host's structured event ring after the run")
 	flag.Parse()
 
 	switch *scenario {
@@ -54,7 +54,6 @@ func main() {
 
 	s := foxnet.NewScheduler(foxnet.SchedulerConfig{})
 	trace := foxnet.NewTracer("fox", os.Stdout, !*raw)
-	var hosts []*foxnet.Host
 	var plot *seqplot.Collector
 
 	s.Run(func() {
@@ -81,7 +80,6 @@ func main() {
 			})
 		}
 		a, b := net.Host(0), net.Host(1)
-		hosts = net.Hosts
 
 		switch *scenario {
 		case "transfer", "lossy":
@@ -132,16 +130,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "wrote %d flow events to %s\n", len(plot.Events()), *svgPath)
 			}
 			f.Close()
-		}
-	}
-
-	if *events {
-		for _, h := range hosts {
-			ring := h.Stats.Ring()
-			fmt.Printf("# %s events (%d of %d recorded)\n", h.Name, ring.Len(), ring.Total())
-			for _, e := range ring.Events() {
-				fmt.Printf("  %s\n", e)
-			}
 		}
 	}
 }

@@ -91,22 +91,19 @@ var analyzers = []*analysis.Analyzer{
 // options collects everything main parses from the command line, so the
 // run logic is callable from tests.
 type options struct {
-	tests         bool
-	jsonOut       bool
-	dot           bool
-	sessionDot    bool
-	copyDot       bool
-	run           string
-	baseline      string
-	writeBaseline string
-	patterns      []string
-	dir           string
-	stdout        io.Writer
-	stderr        io.Writer
+	tests      bool
+	jsonOut    bool
+	dot        bool
+	sessionDot bool
+	copyDot    bool
+	run        string
+	patterns   []string
+	dir        string
+	stdout     io.Writer
+	stderr     io.Writer
 }
 
-// finding is the JSON shape one diagnostic exports. The same shape,
-// minus position columns, keys baseline entries.
+// finding is the JSON shape one diagnostic exports.
 type finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line,omitempty"`
@@ -134,13 +131,11 @@ func main() {
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	baseline := flag.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to this baseline file and exit")
 	dot := flag.Bool("statemachine-dot", false, "print the extracted TCP state machine as Graphviz and exit")
 	sessionDot := flag.Bool("sessiontype-dot", false, "print the proved socket session protocol as Graphviz and exit")
 	copyDot := flag.Bool("copyflow-dot", false, "print the proved copy map of the zero-copy datapath as Graphviz and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: foxvet [-tests] [-list] [-json] [-run names] [-baseline file] [-write-baseline file] [-statemachine-dot] [-sessiontype-dot] [-copyflow-dot] [packages...]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: foxvet [-tests] [-list] [-json] [-run names] [-statemachine-dot] [-sessiontype-dot] [-copyflow-dot] [packages...]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Registered analyzers:\n")
 		printAnalyzers(flag.CommandLine.Output())
 		flag.PrintDefaults()
@@ -157,18 +152,16 @@ func main() {
 		fatalf("foxvet: %v", err)
 	}
 	opts := options{
-		tests:         *tests,
-		jsonOut:       *jsonOut,
-		dot:           *dot,
-		sessionDot:    *sessionDot,
-		copyDot:       *copyDot,
-		run:           *run,
-		baseline:      *baseline,
-		writeBaseline: *writeBaseline,
-		patterns:      flag.Args(),
-		dir:           cwd,
-		stdout:        os.Stdout,
-		stderr:        os.Stderr,
+		tests:      *tests,
+		jsonOut:    *jsonOut,
+		dot:        *dot,
+		sessionDot: *sessionDot,
+		copyDot:    *copyDot,
+		run:        *run,
+		patterns:   flag.Args(),
+		dir:        cwd,
+		stdout:     os.Stdout,
+		stderr:     os.Stderr,
 	}
 	code, err := vet(opts)
 	if err != nil {
@@ -267,24 +260,6 @@ func vet(opts options) (int, error) {
 		})
 	}
 
-	if opts.writeBaseline != "" {
-		if err := saveBaseline(opts.writeBaseline, findings); err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(opts.stderr, "foxvet: wrote %d finding(s) to %s\n", len(findings), opts.writeBaseline)
-		return 0, nil
-	}
-	if opts.baseline != "" {
-		kept, suppressed, err := applyBaseline(opts.baseline, findings)
-		if err != nil {
-			return 0, err
-		}
-		if suppressed > 0 {
-			fmt.Fprintf(opts.stderr, "foxvet: %d finding(s) suppressed by baseline %s\n", suppressed, opts.baseline)
-		}
-		findings = kept
-	}
-
 	if opts.jsonOut {
 		names := make([]string, len(selected))
 		for i, a := range selected {
@@ -307,60 +282,13 @@ func vet(opts options) (int, error) {
 	return 0, nil
 }
 
-// relFile normalizes a diagnostic's file to a module-relative path so
-// baselines survive checkout moves.
+// relFile normalizes a diagnostic's file to a module-relative path, so
+// a report reads the same from any checkout.
 func relFile(dir, file string) string {
 	if rel, err := filepath.Rel(dir, file); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)
 	}
 	return filepath.ToSlash(file)
-}
-
-// baselineKey matches findings by content, not position: line numbers
-// drift as surrounding code changes, the message and file do not.
-func baselineKey(f finding) string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
-func saveBaseline(path string, findings []finding) error {
-	entries := make([]finding, len(findings))
-	for i, f := range findings {
-		entries[i] = finding{File: f.File, Analyzer: f.Analyzer, Message: f.Message}
-	}
-	sort.Slice(entries, func(i, j int) bool { return baselineKey(entries[i]) < baselineKey(entries[j]) })
-	data, err := json.MarshalIndent(entries, "", "\t")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// applyBaseline removes findings matched by the baseline, multiset
-// style: a baseline entry suppresses at most one finding, so a fixed
-// duplicate cannot mask a fresh one.
-func applyBaseline(path string, findings []finding) (kept []finding, suppressed int, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	var entries []finding
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, 0, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	budget := map[string]int{}
-	for _, e := range entries {
-		budget[baselineKey(e)]++
-	}
-	for _, f := range findings {
-		key := baselineKey(f)
-		if budget[key] > 0 {
-			budget[key]--
-			suppressed++
-			continue
-		}
-		kept = append(kept, f)
-	}
-	return kept, suppressed, nil
 }
 
 func printAnalyzers(w io.Writer) {

@@ -75,21 +75,17 @@ type (
 	Tracer = basis.Tracer
 	// Profile is the Table 2 counter set.
 	Profile = profile.Profile
-	// Registry aggregates one host's metric groups and event ring.
+	// Registry aggregates one host's metric groups.
 	Registry = stats.Registry
 	// ConnStats is a per-connection statistics snapshot.
 	ConnStats = tcp.ConnStats
-	// Event is one structured event from a host's ring.
-	Event = stats.Event
 	// FlightRecorder journals per-action TCB evolution (see
 	// HostConfig.FlightDir and cmd/foxreplay).
 	FlightRecorder = flight.Recorder
-	// Telemetry is a host's observation plane: hot-path latency
-	// histograms, per-connection time-series rings, and the executor
-	// profile (see HostConfig.Telemetry and cmd/foxstat -serve).
+	// Telemetry is a host's latency plane: hot-path latency histograms
+	// and the executor profile (see HostConfig.Telemetry and cmd/foxstat
+	// -serve).
 	Telemetry = telemetry.Telemetry
-	// TelemetryOptions sizes the plane's rings and sampling cadence.
-	TelemetryOptions = telemetry.Options
 	// Address is any layer's peer address.
 	Address = protocol.Address
 	// FaultSchedule is a deterministic fault-injection script (see
@@ -111,16 +107,13 @@ var NewTracer = basis.NewTracer
 // Network.RegisterSubstrateMetrics).
 var NewRegistry = stats.NewRegistry
 
-// NewRegistrySized is NewRegistry with an explicit event-ring capacity.
-var NewRegistrySized = stats.NewRegistrySized
-
 // NewFlightRecorder returns a flight recorder journaling to w (see
 // TCPConfig.Flight).
 var NewFlightRecorder = flight.NewRecorder
 
-// NewTelemetry returns a telemetry plane with all rings preallocated;
-// every field a live exporter reads is atomic, so it may be scraped
-// while the simulation runs (see HostConfig.Telemetry).
+// NewTelemetry returns a telemetry plane; every field a live exporter
+// reads is atomic, so it may be scraped while the simulation runs (see
+// HostConfig.Telemetry).
 var NewTelemetry = telemetry.New
 
 // NamedFault returns a built-in fault scenario by name (flap,
@@ -155,11 +148,11 @@ type HostConfig struct {
 	// Trace, when non-nil, receives do_traces output for every layer.
 	Trace *Tracer
 	// Metrics, when non-nil, is the registry this host's counter groups
-	// and event ring are installed into; when nil, addHost creates one.
+	// are installed into; when nil, addHost creates one.
 	// Either way it ends up in Host.Stats.
 	Metrics *stats.Registry
 	// FlightDir, when non-empty, turns on the flight recorder for this
-	// host's TCP: every action and TCB delta is journaled to
+	// host's TCP: every action, TCB delta and point event is journaled to
 	// <FlightDir>/<hostname>.fjl, replayable with cmd/foxreplay. The
 	// directory is created if missing. An explicit TCP.Flight recorder
 	// takes precedence.
@@ -172,9 +165,9 @@ type HostConfig struct {
 	// writes are buffered, and its final partial batch is sealed only
 	// on sync.
 	FlightSeal bool
-	// Telemetry, when non-nil, attaches the observation plane to this
-	// host's TCP: latency histograms, per-connection series, executor
-	// profile — all atomic, live-scrapable mid-run. An explicit
+	// Telemetry, when non-nil, attaches the latency plane to this host's
+	// TCP: latency histograms and the executor profile — all atomic,
+	// live-scrapable mid-run. An explicit
 	// TCP.Telemetry takes precedence. Pure observation: virtual results
 	// are bit-identical with or without it.
 	Telemetry *Telemetry
@@ -195,8 +188,8 @@ type Host struct {
 	TCP  *tcp.TCP
 	Prof *Profile
 	// Stats aggregates this host's MIB counter groups (tcp, ip, icmp,
-	// udp, arp, eth — and seal, when FlightSeal is on) and the structured
-	// event ring. Snapshot it any time; the groups are atomic.
+	// udp, arp, eth — and seal, when FlightSeal is on). Snapshot it any
+	// time; the groups are atomic. Point events are in the journal.
 	Stats *stats.Registry
 	// Flight is this host's flight recorder, nil unless FlightDir (or an
 	// explicit TCP.Flight) was configured.
@@ -325,9 +318,6 @@ func (n *Network) addHost(id byte, hc HostConfig) *Host {
 	}
 	if tcfg.Harden == nil {
 		tcfg.Harden = mib.hard
-	}
-	if tcfg.Events == nil {
-		tcfg.Events = reg.Ring()
 	}
 	if tcfg.Flight == nil && hc.FlightDir != "" {
 		var jw io.Writer = &flightSink{dir: hc.FlightDir, name: h.Name, buffered: hc.FlightSeal}

@@ -2,6 +2,7 @@ package foxnet_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -350,4 +351,74 @@ func mustRead(t *testing.T, journal []byte) []flight.Record {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// Replay skips the observer-only records: a journal holding point events
+// and fault transitions replays without divergence, serially and sharded,
+// and a sealed copy of it verifies.
+func TestReplayJournalWithEventsAndFaults(t *testing.T) {
+	sched, ok := foxnet.NamedFault("flap")
+	if !ok {
+		t.Fatal("no flap scenario")
+	}
+	var plain, sealed [2]bytes.Buffer
+	var sws [2]*seal.Writer
+	var hcs [2]*foxnet.HostConfig
+	for i := range hcs {
+		sws[i] = seal.NewWriter(&sealed[i])
+		rec := foxnet.NewFlightRecorder(io.MultiWriter(&plain[i], sws[i]))
+		hcs[i] = &foxnet.HostConfig{TCP: foxnet.TCPConfig{Flight: rec}}
+	}
+	s := foxnet.NewScheduler(foxnet.SchedulerConfig{})
+	s.Run(func() {
+		net := foxnet.NewNetwork(s, foxnet.WireConfig{}, 2, hcs[:]...)
+		net.Host(1).TCP.Listen(80, func(c *foxnet.Conn) foxnet.Handler {
+			return foxnet.Handler{Data: func(c *foxnet.Conn, d []byte) {}}
+		})
+		conn, err := net.Host(0).TCP.Open(net.Host(1).Addr, 80, foxnet.Handler{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.StartFault(sched, nil)
+		s.Fork("send", func() { conn.Write(make([]byte, 1<<20)); conn.Close() })
+		s.Sleep(time.Minute)
+	})
+	for i := range plain {
+		if err := sws[i].Sync(); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := flight.ReadAll(bytes.NewReader(plain[i].Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[string]int{}
+		for _, r := range recs {
+			kinds[r.Kind]++
+		}
+		if kinds[flight.KindEvent] == 0 || kinds[flight.KindFault] != len(sched.Transitions) {
+			t.Fatalf("host%d journal holds %d ev and %d flt records, want some and %d",
+				i+1, kinds[flight.KindEvent], kinds[flight.KindFault], len(sched.Transitions))
+		}
+		serial, err := tcp.ReplayJournal(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := tcp.ReplayJournalParallel(recs, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range append(serial.Divergences, par.Divergences...) {
+			t.Errorf("host%d: %v", i+1, d)
+		}
+		if serial.Actions == 0 || par.Actions != serial.Actions {
+			t.Errorf("host%d: serial replayed %d actions, 4 workers %d", i+1, serial.Actions, par.Actions)
+		}
+		rep, err := seal.Verify(bytes.NewReader(sealed[i].Bytes()))
+		if err != nil {
+			t.Fatalf("host%d sealed copy: %v", i+1, err)
+		}
+		if rep.Records != uint64(len(recs)) {
+			t.Errorf("host%d sealed copy holds %d records, the journal %d", i+1, rep.Records, len(recs))
+		}
+	}
 }

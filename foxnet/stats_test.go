@@ -1,25 +1,34 @@
 package foxnet_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/foxnet"
+	"repro/internal/flight"
 	"repro/internal/stats"
+	"repro/internal/tcp"
 )
 
 // runTransfer performs the canonical scenario — handshake, n-byte
 // transfer from host 0 to host 1, active close — and returns the network
-// plus both connection endpoints. The scheduler charges no CPU, so every
-// counter below is exactly reproducible.
-func runTransfer(t *testing.T, wcfg foxnet.WireConfig, n int, settle time.Duration) (*foxnet.Network, *foxnet.Conn, *foxnet.Conn, int) {
+// plus both connection endpoints and each host's point events, read from
+// its flight journal. The scheduler charges no CPU, so every counter
+// below is exactly reproducible.
+func runTransfer(t *testing.T, wcfg foxnet.WireConfig, n int, settle time.Duration) (*foxnet.Network, *foxnet.Conn, *foxnet.Conn, int, [2][]flight.Record) {
 	t.Helper()
 	s := foxnet.NewScheduler(foxnet.SchedulerConfig{})
 	var net *foxnet.Network
 	var client, server *foxnet.Conn
 	received := 0
+	var journals [2]bytes.Buffer
+	hcs := [2]*foxnet.HostConfig{}
+	for i := range hcs {
+		hcs[i] = &foxnet.HostConfig{TCP: foxnet.TCPConfig{Flight: foxnet.NewFlightRecorder(&journals[i])}}
+	}
 	s.Run(func() {
-		net = foxnet.NewNetwork(s, wcfg, 2)
+		net = foxnet.NewNetwork(s, wcfg, 2, hcs[:]...)
 		a, b := net.Host(0), net.Host(1)
 		b.TCP.Listen(80, func(c *foxnet.Conn) foxnet.Handler {
 			server = c
@@ -37,7 +46,15 @@ func runTransfer(t *testing.T, wcfg foxnet.WireConfig, n int, settle time.Durati
 		conn.Close()
 		s.Sleep(settle)
 	})
-	return net, client, server, received
+	var evs [2][]flight.Record
+	for i := range journals {
+		recs, err := flight.ReadAll(&journals[i])
+		if err != nil {
+			t.Fatalf("host%d journal: %v", i+1, err)
+		}
+		evs[i] = flight.Events(recs)
+	}
+	return net, client, server, received, evs
 }
 
 // expectCounters asserts a set of exact snapshot values.
@@ -61,7 +78,7 @@ func expectCounters(t *testing.T, host string, snap stats.Snapshot, want map[str
 // These numbers are the RFC 2012 accounting for that exchange and pin
 // down every layer's MIB arithmetic at once.
 func TestMIBCountersLosslessTransfer(t *testing.T) {
-	net, client, server, received := runTransfer(t, foxnet.WireConfig{}, 3000, 2*time.Second)
+	net, client, server, received, evs := runTransfer(t, foxnet.WireConfig{}, 3000, 2*time.Second)
 	if received != 3000 {
 		t.Fatalf("received %d bytes, want 3000", received)
 	}
@@ -130,7 +147,7 @@ func TestMIBCountersLosslessTransfer(t *testing.T) {
 		t.Errorf("client srtt/rto not measured: %v / %v", cs.SRTT, cs.RTO)
 	}
 
-	// Each host's ring carries the connection's state transitions; the
+	// Each host's journal carries the connection's state transitions; the
 	// client walked the active-close path, the server the passive one.
 	for i, want := range []struct {
 		conn  *foxnet.Conn
@@ -141,18 +158,18 @@ func TestMIBCountersLosslessTransfer(t *testing.T) {
 		{client, "Closed -> Syn_Sent", "Fin_Wait_2 -> Time_Wait", 5},
 		{server, "Closed -> Listen", "Last_Ack -> Closed", 6},
 	} {
-		var trans []foxnet.Event
-		for _, e := range net.Host(i).Stats.Ring().Events() {
-			if e.Kind == stats.EvStateTransition && e.Conn == want.conn.Name() {
-				trans = append(trans, e)
+		var trans []string
+		for _, e := range evs[i] {
+			if e.EvKind == tcp.EventState && e.Conn == want.conn.Name() {
+				trans = append(trans, tcp.DescribeEvent(e.EvKind, e.EvA, e.EvB))
 			}
 		}
 		if len(trans) != want.count {
 			t.Fatalf("host%d: %d state transitions, want %d", i+1, len(trans), want.count)
 		}
-		if trans[0].Detail != want.first || trans[len(trans)-1].Detail != want.last {
+		if trans[0] != want.first || trans[len(trans)-1] != want.last {
 			t.Errorf("host%d transitions ran %q .. %q, want %q .. %q",
-				i+1, trans[0].Detail, trans[len(trans)-1].Detail, want.first, want.last)
+				i+1, trans[0], trans[len(trans)-1], want.first, want.last)
 		}
 	}
 }
@@ -161,7 +178,7 @@ func TestMIBCountersLosslessTransfer(t *testing.T) {
 // transfer still completes, and the loss shows up in the RFC 2012 split:
 // RetransSegs counts the re-emissions, OutSegs only first transmissions.
 func TestMIBCountersLossyTransfer(t *testing.T) {
-	net, client, _, received := runTransfer(t,
+	net, client, _, received, evs := runTransfer(t,
 		foxnet.WireConfig{Loss: 0.10, Seed: 7}, 64000, 30*time.Second)
 	if received != 64000 {
 		t.Fatalf("received %d bytes, want 64000", received)
@@ -181,14 +198,14 @@ func TestMIBCountersLossyTransfer(t *testing.T) {
 		t.Errorf("conn segs out %d != tcp.OutSegs %v", cs.SegsOut, out)
 	}
 
-	// The ring saw the recovery machinery at work.
+	// The journal saw the recovery machinery at work.
 	var rexEvents int
-	for _, e := range net.Host(0).Stats.Ring().Events() {
-		if e.Kind == stats.EvRetransmit {
+	for _, e := range evs[0] {
+		if e.EvKind == tcp.EventRexmit {
 			rexEvents++
 		}
 	}
 	if rexEvents == 0 {
-		t.Error("no retransmit events in the ring")
+		t.Error("no retransmit events in the journal")
 	}
 }

@@ -35,7 +35,6 @@ type host struct {
 	TCP *tcp.TCP
 	A   ip.Addr
 	H   *stats.HardenMIB
-	Ev  *stats.EventRing
 }
 
 type rig struct {
@@ -62,7 +61,7 @@ func build(s *sim.Scheduler, seg *wire.Segment, ccfg, scfg tcp.Config, seed uint
 		res := arp.New(s, eth, addr, arp.Config{})
 		statics(res)
 		ipl := ip.New(s, eth, res, ip.Config{Local: addr})
-		return host{TCP: tcp.New(s, ipl.Network(ip.ProtoTCP), cfg), A: addr, H: cfg.Harden, Ev: cfg.Events}
+		return host{TCP: tcp.New(s, ipl.Network(ip.ProtoTCP), cfg), A: addr, H: cfg.Harden}
 	}
 	r := rig{client: mk(1, ccfg), server: mk(2, scfg)}
 
@@ -85,7 +84,6 @@ func build(s *sim.Scheduler, seg *wire.Segment, ccfg, scfg tcp.Config, seed uint
 
 func hardenCfg(over tcp.Config) tcp.Config {
 	over.Harden = &stats.HardenMIB{}
-	over.Events = stats.NewEventRing(4096)
 	return over
 }
 
@@ -239,16 +237,18 @@ var legalTransitions = map[string][]string{
 	"Time_Wait":   {},
 }
 
-func assertLegalTransitions(t *testing.T, who string, ev *stats.EventRing) {
+// assertLegalTransitions checks every state transition one endpoint's
+// journal recorded. A journal without any fails: an empty source would
+// otherwise pass.
+func assertLegalTransitions(t *testing.T, who string, recs []flight.Record) {
 	t.Helper()
-	for _, e := range ev.Events() {
-		if e.Kind != stats.EvStateTransition {
+	n := 0
+	for _, e := range flight.Events(recs) {
+		if e.EvKind != tcp.EventState {
 			continue
 		}
-		var from, to string
-		if _, err := fmt.Sscanf(e.Detail, "%s -> %s", &from, &to); err != nil {
-			t.Fatalf("%s: unparseable transition %q", who, e.Detail)
-		}
+		n++
+		from, to := tcp.State(e.EvA).String(), tcp.State(e.EvB).String()
 		if to == "Closed" {
 			continue
 		}
@@ -259,8 +259,11 @@ func assertLegalTransitions(t *testing.T, who string, ev *stats.EventRing) {
 			}
 		}
 		if !ok {
-			t.Fatalf("%s: illegal state transition %q on %s", who, e.Detail, e.Conn)
+			t.Fatalf("%s: illegal state transition %s -> %s on %s", who, from, to, e.Conn)
 		}
+	}
+	if n == 0 {
+		t.Fatalf("%s: journal records no state transitions", who)
 	}
 }
 
@@ -379,8 +382,6 @@ func runSoak(t *testing.T, seed uint64, attack bool) soakResult {
 		res.halfOpenHigh = r.server.H.HalfOpen.High()
 		res.memHigh = r.server.H.MemBytes.High()
 		res.challenges = r.server.H.ChallengeACKsSent.Load() + r.server.H.ChallengeACKsSuppressed.Load()
-		assertLegalTransitions(t, "server", r.server.Ev)
-		assertLegalTransitions(t, "client", r.client.Ev)
 	})
 	if err := crec.Sync(); err != nil {
 		t.Errorf("seed %d client journal sync: %v", seed, err)
@@ -401,8 +402,9 @@ func runSoak(t *testing.T, seed uint64, attack bool) soakResult {
 }
 
 // auditSealed audits one endpoint's sealed journal end to end: the seal
-// chain verifies, the sharded parallel replay reproduces every recorded
-// TCB delta, and the journal is tamper-evident (auditTamper).
+// chain verifies, every state transition it records is legal, the
+// sharded parallel replay reproduces every recorded TCB delta, and the
+// journal is tamper-evident (auditTamper).
 func auditSealed(t *testing.T, seed uint64, attack bool, who string, journal []byte) {
 	t.Helper()
 	id := fmt.Sprintf("seed %d attack=%v %s", seed, attack, who)
@@ -415,6 +417,7 @@ func auditSealed(t *testing.T, seed uint64, attack bool, who string, journal []b
 		t.Errorf("%s: %v", id, err)
 		return
 	}
+	assertLegalTransitions(t, id, recs)
 	res, err := tcp.ReplayJournalParallel(recs, 4)
 	if err != nil {
 		t.Errorf("%s replay: %v", id, err)

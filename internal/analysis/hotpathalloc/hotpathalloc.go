@@ -149,8 +149,7 @@ func guardedStmts(info *types.Info, body *ast.BlockStmt) map[ast.Stmt]bool {
 }
 
 // isOnGuard matches the tracing-enabled probe: a niladic method call
-// named On (basis.Tracer.On, stats.EventRing.On, and the testdata
-// miniatures).
+// named On (basis.Tracer.On and the testdata miniatures).
 func isOnGuard(cond ast.Expr) bool {
 	call, ok := ast.Unparen(cond).(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {
@@ -161,7 +160,7 @@ func isOnGuard(cond ast.Expr) bool {
 }
 
 // tracerNilCmp matches `x == nil` / `x != nil` where x is a pointer to
-// a tracing type (Tracer, EventRing). Returns eq=true for ==.
+// a Tracer. Returns eq=true for ==.
 func tracerNilCmp(info *types.Info, cond ast.Expr) (eq, ok bool) {
 	be, isBin := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !isBin || (be.Op != token.EQL && be.Op != token.NEQ) {
@@ -195,8 +194,7 @@ func isTracerPtr(info *types.Info, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	name := named.Obj().Name()
-	return name == "Tracer" || name == "EventRing"
+	return named.Obj().Name() == "Tracer"
 }
 
 // --- the walk ------------------------------------------------------------

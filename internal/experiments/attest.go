@@ -79,8 +79,7 @@ type ArmResult struct {
 	JournalRecords int64                   `json:"journal_records_per_run,omitempty"`
 	JournalBytes   int64                   `json:"journal_bytes_per_run,omitempty"` // seal records included when sealed
 	SealedBatches  int64                   `json:"sealed_batches_per_run,omitempty"`
-	Actions        uint64                  `json:"actions_per_run,omitempty"`       // executor actions profiled
-	Samples        uint64                  `json:"series_points_per_run,omitempty"` // time-series points recorded
+	Actions        uint64                  `json:"actions_per_run,omitempty"` // executor actions profiled
 	Transfer       TransferJSON            `json:"transfer"`
 	Planes         [2]*telemetry.Telemetry `json:"-"`
 }
@@ -140,7 +139,7 @@ func runArm(o Options, s Sinks, trials int) ArmResult {
 				opt.FlightSinks = append(opt.FlightSinks, &cw[j])
 			}
 			if s&SinkTelemetry != 0 {
-				planes[j] = telemetry.New(telemetry.Options{})
+				planes[j] = telemetry.New()
 				opt.Telemetry = append(opt.Telemetry, planes[j])
 			}
 		}
@@ -156,7 +155,7 @@ func runArm(o Options, s Sinks, trials int) ArmResult {
 		}
 		arm.JournalBytes = cw[0].bytes + cw[1].bytes
 		arm.JournalRecords = cw[0].records + cw[1].records
-		arm.SealedBatches, arm.Actions, arm.Samples = 0, 0, 0
+		arm.SealedBatches, arm.Actions = 0, 0
 		for j := range cw {
 			if sw[j] != nil {
 				arm.SealedBatches += int64(sw[j].MIB().BatchesSealed.Load())
@@ -164,9 +163,6 @@ func runArm(o Options, s Sinks, trials int) ArmResult {
 			if tl := planes[j]; tl != nil {
 				for k := telemetry.ActKind(0); k < telemetry.NumActKinds; k++ {
 					arm.Actions += tl.Prof.Count(k)
-				}
-				for _, sr := range tl.Series() {
-					arm.Samples += sr.Total()
 				}
 			}
 		}
@@ -192,7 +188,7 @@ func (a Attestation) format(bytes int) string {
 			fmt.Fprintf(&b, " in %d sha256-sealed batches", arm.SealedBatches)
 		}
 		if arm.Sinks&SinkTelemetry != 0 {
-			fmt.Fprintf(&b, "   %d actions profiled, %d series points", arm.Actions, arm.Samples)
+			fmt.Fprintf(&b, "   %d actions profiled", arm.Actions)
 		}
 		b.WriteString("\n")
 	}
@@ -231,17 +227,8 @@ func AttestReport(o Options, arms ...Sinks) (Report, string) {
 	return rep, a.Text
 }
 
-// SeriesJSON is one connection's time-series ring in foxbench -json
-// output: the data behind a cwnd trace or fairness plot.
-type SeriesJSON struct {
-	Conn   string            `json:"conn"`
-	Total  uint64            `json:"total_points"`
-	Points []telemetry.Point `json:"points"`
-}
-
 // PlaneJSON is one host's full telemetry plane: the four hot-path
-// latency histograms, the executor profile, and every connection's
-// sampled series.
+// latency histograms and the executor profile.
 type PlaneJSON struct {
 	Host    string                 `json:"host"`
 	Action  telemetry.HistSnapshot `json:"action_latency_ns"`
@@ -249,53 +236,35 @@ type PlaneJSON struct {
 	Read    telemetry.HistSnapshot `json:"read_latency_ns"`
 	Write   telemetry.HistSnapshot `json:"write_latency_ns"`
 	Profile telemetry.ProfReport   `json:"profile"`
-	Dropped uint64                 `json:"dropped_conns,omitempty"`
-	Series  []SeriesJSON           `json:"series,omitempty"`
 }
 
 func planeJSON(host string, tl *telemetry.Telemetry) *PlaneJSON {
 	if tl == nil {
 		return nil
 	}
-	p := &PlaneJSON{
+	return &PlaneJSON{
 		Host:    host,
 		Action:  tl.Action.Snapshot(),
 		RTT:     tl.RTT.Snapshot(),
 		Read:    tl.Read.Snapshot(),
 		Write:   tl.Write.Snapshot(),
 		Profile: tl.Prof.Report(),
-		Dropped: tl.Dropped(),
 	}
-	for _, sr := range tl.Series() {
-		p.Series = append(p.Series, SeriesJSON{
-			Conn: sr.Name(), Total: sr.Total(), Points: sr.Points(),
-		})
-	}
-	return p
 }
 
 // TelemetryJSON is the plane snapshot attached to a structured run:
-// sender and receiver planes plus the sampling cadence that produced
-// the series.
+// sender and receiver planes.
 type TelemetryJSON struct {
-	SampleEveryNS int64      `json:"sample_every_ns"`
-	Sender        *PlaneJSON `json:"sender,omitempty"`
-	Receiver      *PlaneJSON `json:"receiver,omitempty"`
+	Sender   *PlaneJSON `json:"sender,omitempty"`
+	Receiver *PlaneJSON `json:"receiver,omitempty"`
 }
 
 func telemetryJSON(planes [2]*telemetry.Telemetry) *TelemetryJSON {
 	if planes[0] == nil && planes[1] == nil {
 		return nil
 	}
-	t := &TelemetryJSON{
+	return &TelemetryJSON{
 		Sender:   planeJSON("host1", planes[0]),
 		Receiver: planeJSON("host2", planes[1]),
 	}
-	for _, tl := range planes {
-		if tl != nil {
-			t.SampleEveryNS = tl.SampleEveryNS()
-			break
-		}
-	}
-	return t
 }

@@ -16,7 +16,8 @@ import (
 // per-connection series) to the Table 1 structured run, as a pure
 // superset. SchemaV3 replaces V2's separate flight and
 // telemetry_overhead reports with the one attestation report; the
-// tables are unchanged.
+// tables are unchanged. The series left the telemetry section when it
+// became a view over the flight journal (flight.Series).
 const (
 	SchemaV1 = "foxbench/v1"
 	SchemaV2 = "foxbench/v2"
@@ -148,13 +149,10 @@ func profileJSON(r profile.Report, bytes int) *ProfileJSON {
 // formatted text. The structured throughput arm runs with fresh
 // telemetry planes attached (pure observation, so its numbers are the
 // ones an unobserved run produces), giving the report per-action
-// latency percentiles and the sender's cwnd trace alongside the
-// paper's aggregate figures.
+// latency percentiles and the executor profile alongside the paper's
+// aggregate figures.
 func Table1Report(o Options) (Report, string) {
-	planes := [2]*telemetry.Telemetry{
-		telemetry.New(telemetry.Options{}),
-		telemetry.New(telemetry.Options{}),
-	}
+	planes := [2]*telemetry.Telemetry{telemetry.New(), telemetry.New()}
 	to := o
 	to.Telemetry = []*telemetry.Telemetry{planes[0], planes[1]}
 	foxT := Throughput(Structured, to)

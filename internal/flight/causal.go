@@ -62,6 +62,8 @@ func Describe(r *Record) string {
 			s += "{" + r.Args + "}"
 		}
 		return s + " on " + r.Conn + causeSuffix(r)
+	case KindEvent:
+		return fmt.Sprintf("t=%dns event %s a=%d b=%d on %s", r.At, r.EvKind, r.EvA, r.EvB, r.Conn)
 	default:
 		return fmt.Sprintf("t=%dns %s on %s", r.At, r.Kind, r.Conn)
 	}

@@ -15,7 +15,12 @@
 // trusting the JSON scanner, and the JSON body keeps the journal
 // greppable and jq-able.
 //
-// The Recorder follows the Tracer/EventRing discipline: every hook site
+// The journal is also the stack's one record of what happened to whom:
+// point events (state transitions, retransmissions, resets) are ev
+// records, and a connection's congestion and window series is a view
+// over its end deltas (Events, Series).
+//
+// The Recorder follows the Tracer discipline: every hook site
 // in the hot path is a single nil check, and the enabled path encodes
 // into preallocated buffers it owns — no allocation per record once the
 // buffers have grown to the working-set size.
@@ -36,6 +41,7 @@ const (
 	KindEnd   = "end"  // executor finished it; "d" holds the TCB delta
 	KindSeal  = "seal" // closes a batch of the sealed hash chain (internal/flight/seal)
 	KindFault = "flt"  // scripted fault-plane transition (observer-only)
+	KindEvent = "ev"   // protocol point event (observer-only)
 )
 
 // Cause kinds, as written in the "ck" field of open/uop/enq records.
@@ -62,7 +68,7 @@ type cause struct {
 }
 
 // Recorder emits journal records to one writer. It is not safe for
-// concurrent use from independent goroutines; like the EventRing, every
+// concurrent use from independent goroutines; like the Tracer, every
 // writer runs inside the simulation scheduler's handoff discipline, so
 // plain fields suffice.
 type Recorder struct {
@@ -192,6 +198,25 @@ func (r *Recorder) Fault(at int64, kind, detail string) {
 	r.buf = appendIntField(r.buf, "at", at)
 	r.buf = appendStrField(r.buf, "fk", kind)
 	r.buf = appendStrField(r.buf, "fd", detail)
+	r.buf = append(r.buf, '}')
+	r.flush()
+}
+
+// Event records one protocol point event on connection conn ("" for an
+// endpoint-wide one): its kind ("ek") and two operands whose meaning
+// the kind fixes ("ea", "eb"), stored as they are and rendered by
+// whoever reads them. Like flt, the record is pure observation — replay
+// skips it — and carries no action seq.
+//
+//foxvet:hotpath
+func (r *Recorder) Event(at int64, conn, kind string, a, b int64) {
+	r.buf = r.buf[:0]
+	r.buf = append(r.buf, `{"k":"ev"`...)
+	r.buf = appendIntField(r.buf, "at", at)
+	r.buf = appendStrField(r.buf, "c", conn)
+	r.buf = appendStrField(r.buf, "ek", kind)
+	r.buf = appendIntField(r.buf, "ea", a)
+	r.buf = appendIntField(r.buf, "eb", b)
 	r.buf = append(r.buf, '}')
 	r.flush()
 }

@@ -32,6 +32,7 @@ func sampleJournal() *bytes.Buffer {
 	r.Begin(CauseTimer, 0)
 	r.Enqueue(20, "10.0.0.2:80<->:49152", "Timer_Expiration(rexmit)", nil)
 	r.EndCause()
+	r.Event(20, "10.0.0.2:80<->:49152", "rexmit", 1, 2)
 	return &buf
 }
 
@@ -41,8 +42,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
 	}
-	if len(recs) != 9 {
-		t.Fatalf("got %d records, want 9", len(recs))
+	if len(recs) != 10 {
+		t.Fatalf("got %d records, want 10", len(recs))
 	}
 	if recs[0].Kind != KindHdr || recs[0].Host != "host1" || recs[0].MTU != 1500 {
 		t.Errorf("bad hdr: %+v", recs[0])
@@ -78,6 +79,54 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if recs[8].CK != CauseTimer || recs[8].Timer != 0 {
 		t.Errorf("tmr cause: %+v", recs[8])
+	}
+	if ev := recs[9]; ev.Kind != KindEvent || ev.At != 20 || ev.EvKind != "rexmit" || ev.EvA != 1 || ev.EvB != 2 || ev.Seq != 0 {
+		t.Errorf("ev: %+v", ev)
+	}
+	if evs := Events(recs); len(evs) != 1 || evs[0].EvKind != "rexmit" {
+		t.Errorf("Events = %+v, want the one ev record", evs)
+	}
+	if got := Describe(&recs[9]); !strings.Contains(got, "event rexmit a=1 b=2") {
+		t.Errorf("Describe(ev) = %q", got)
+	}
+}
+
+// TestSeries: one point per end record that moves a series field, at its
+// beg's time; a field's first pre value fills the points before it, and
+// flight is snd_nxt - snd_una across the sequence-space wrap.
+func TestSeries(t *testing.T) {
+	var buf bytes.Buffer
+	r := NewRecorder(&buf)
+	const c = "a<->b"
+	r.Hdr("h", 1500, []byte("{}"))
+	r.OpenConn(0, c, "active", "b", 80, 1024, false, false)
+	r.OpenConn(0, "other", "active", "b", 81, 1025, false, false)
+	end := func(at int64, seq uint64, conn string, kv ...int64) {
+		var d []byte
+		for i := 0; i+2 < len(kv); i += 3 {
+			d = AppendDelta(d, SeriesFields[kv[i]], kv[i+1], kv[i+2])
+		}
+		r.Beg(at, conn, seq)
+		r.End(conn, seq, d)
+	}
+	const cwnd, rto, una, nxt = 0, 4, 5, 6
+	end(10, 1, c, cwnd, 1460, 2920, una, 0xfffffff0, 0xfffffff0, nxt, 0xfffffff0, 0x10)
+	end(20, 2, "other", cwnd, 1, 2)
+	end(30, 3, c) // no change: no point
+	end(40, 4, c, rto, 3_000_000, 1_000_000)
+	recs, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := Series(recs, c)
+	if len(pts) != 2 {
+		t.Fatalf("got %d points, want 2: %+v", len(pts), pts)
+	}
+	if p := pts[0]; p.At != 10 || p.Cwnd != 2920 || p.Flight != 0x20 || p.RTO != 3_000_000 {
+		t.Errorf("first point %+v: want at 10, cwnd 2920, flight 32 and the back-filled rto", p)
+	}
+	if p := pts[1]; p.At != 40 || p.Cwnd != 2920 || p.RTO != 1_000_000 {
+		t.Errorf("second point %+v: want at 40, cwnd 2920, rto 1ms", p)
 	}
 }
 
@@ -257,6 +306,7 @@ func TestEmitNoAllocs(t *testing.T) {
 		r.EndCause()
 		r.Beg(12345, conn, seq)
 		r.End(conn, seq, delta)
+		r.Event(12345, conn, "rexmit", 100000, 1)
 	}
 	emit()
 	if n := testing.AllocsPerRun(100, emit); n > 0 {

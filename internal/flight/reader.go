@@ -68,6 +68,12 @@ type Record struct {
 	// to the wire beneath this host, for divergence attribution.
 	FaultKind   string `json:"fk"` // transition kind, e.g. "partition"
 	FaultDetail string `json:"fd"` // rendered transition arguments
+
+	// ev: one protocol point event; the kind fixes what the operands
+	// mean (internal/tcp owns the vocabulary).
+	EvKind string `json:"ek"`
+	EvA    int64  `json:"ea"`
+	EvB    int64  `json:"eb"`
 }
 
 // Corruption locates a framing or decoding failure precisely: the byte

@@ -6,17 +6,17 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// WriteSeriesSVG renders a telemetry time series as a line chart: the
-// congestion window, slow-start threshold, and flight size in bytes
-// against virtual time. It is the congestion-control companion to the
+// WriteSeriesSVG renders a connection series (flight.Series) as a line
+// chart: the congestion window, slow-start threshold, and flight size in
+// bytes against virtual time. It is the congestion-control companion to the
 // Collector's sequence plot — where that shows every segment on the
 // wire, this shows the sender's internal state evolving between them.
 // Width and height are in pixels; sensible defaults apply when zero.
-func WriteSeriesSVG(w io.Writer, name string, pts []telemetry.Point, width, height int) error {
+func WriteSeriesSVG(w io.Writer, name string, pts []flight.Point, width, height int) error {
 	if width <= 0 {
 		width = 900
 	}
@@ -48,7 +48,7 @@ func WriteSeriesSVG(w io.Writer, name string, pts []telemetry.Point, width, heig
 	py := func(v int64) float64 {
 		return float64(height-mB) - float64(v)/float64(yMax)*float64(height-mT-mB)
 	}
-	poly := func(b *strings.Builder, get func(telemetry.Point) int64, color, dash string) {
+	poly := func(b *strings.Builder, get func(flight.Point) int64, color, dash string) {
 		var s strings.Builder
 		for _, p := range pts {
 			fmt.Fprintf(&s, "%.1f,%.1f ", px(p.At), py(get(p)))
@@ -68,9 +68,9 @@ func WriteSeriesSVG(w io.Writer, name string, pts []telemetry.Point, width, heig
 		mL, height-10, esc, time.Duration(sim.Duration(t1-t0)).Round(time.Millisecond))
 	fmt.Fprintf(&b, `<text x="5" y="%d" transform="rotate(-90 12 %d)">bytes (max %d)</text>`+"\n", mT+100, mT+100, yMax)
 
-	poly(&b, func(p telemetry.Point) int64 { return p.Cwnd }, "#333333", "")
-	poly(&b, func(p telemetry.Point) int64 { return p.Ssthresh }, "#d7301f", ` stroke-dasharray="4 3"`)
-	poly(&b, func(p telemetry.Point) int64 { return p.Flight }, "#2166ac", "")
+	poly(&b, func(p flight.Point) int64 { return p.Cwnd }, "#333333", "")
+	poly(&b, func(p flight.Point) int64 { return p.Ssthresh }, "#d7301f", ` stroke-dasharray="4 3"`)
+	poly(&b, func(p flight.Point) int64 { return p.Flight }, "#2166ac", "")
 
 	fmt.Fprintf(&b, `<text x="%d" y="%d" fill="#333333">— cwnd</text>`+"\n", width-160, mT+12)
 	fmt.Fprintf(&b, `<text x="%d" y="%d" fill="#d7301f">-- ssthresh</text>`+"\n", width-160, mT+26)

@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/telemetry"
+	"repro/internal/flight"
 )
 
 func TestSeriesSVGWellFormed(t *testing.T) {
-	pts := []telemetry.Point{
+	pts := []flight.Point{
 		{At: 0, Cwnd: 4096, Ssthresh: 65535, Flight: 0},
 		{At: 1_000_000, Cwnd: 5120, Ssthresh: 65535, Flight: 2048},
 		{At: 2_000_000, Cwnd: 2048, Ssthresh: 2560, Flight: 2048},

@@ -1,17 +1,18 @@
 // Package stats is the machine-readable counterpart of the paper's
 // do_prints/do_traces text tracing: a zero-dependency metrics registry
 // holding MIB-style counter groups (RFC 2011/2012 shape) for every
-// protocol layer, per-connection statistics, scheduler metrics, and a
-// structured event ring.
+// protocol layer, and the substrate's scheduler and wire counters. Point
+// events are not counters: they are flight-journal records
+// (internal/flight).
 //
 // Concurrency discipline mirrors the stack's two worlds. Counter, Gauge
 // and the histogram they share with the telemetry plane (telemetry.Hist)
 // are atomic (sync/atomic) so a snapshot may be taken from outside the
-// scheduler while a simulation is live. Everything plain —
-// the EventRing and the per-connection fields on the TCB — is mutated
-// only inside the quasi-synchronous executor, where the scheduler's
-// channel-handoff protocol already provides happens-before, so no
-// atomics are needed and `go test -race` proves the split sound.
+// scheduler while a simulation is live. Everything plain — the
+// per-connection fields on the TCB — is mutated only inside the
+// quasi-synchronous executor, where the scheduler's channel-handoff
+// protocol already provides happens-before, so no atomics are needed and
+// `go test -race` proves the split sound.
 //
 // Like the Tracer, everything is nil-safe: a detached *Counter or a host
 // with no Registry installed costs at most one branch per touch, and the
@@ -303,25 +304,10 @@ type entry struct {
 type Registry struct {
 	host    string
 	entries []entry
-	ring    *EventRing
 }
 
-// RingSize is the capacity of a Registry's event ring.
-const RingSize = 256
-
-// NewRegistry returns a registry for the named host with an event ring
-// of RingSize entries.
-func NewRegistry(host string) *Registry {
-	return NewRegistrySized(host, RingSize)
-}
-
-// NewRegistrySized is NewRegistry with an explicit event-ring capacity:
-// the ring retains the most recent n events (n <= 0 takes RingSize).
-// Long soaks pass a large n to keep full histories; memory-tight runs
-// shrink it.
-func NewRegistrySized(host string, n int) *Registry {
-	return &Registry{host: host, ring: NewEventRing(n)}
-}
+// NewRegistry returns an empty registry for the named host.
+func NewRegistry(host string) *Registry { return &Registry{host: host} }
 
 // Host returns the registry's host name ("" for nil).
 func (r *Registry) Host() string {
@@ -329,15 +315,6 @@ func (r *Registry) Host() string {
 		return ""
 	}
 	return r.host
-}
-
-// Ring returns the registry's event ring (nil for a nil registry, which
-// EventRing methods tolerate).
-func (r *Registry) Ring() *EventRing {
-	if r == nil {
-		return nil
-	}
-	return r.ring
 }
 
 // Register adds a named group — a pointer to a struct whose exported

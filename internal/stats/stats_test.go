@@ -189,39 +189,9 @@ func TestRegistryNilSafe(t *testing.T) {
 	if r.Host() != "" {
 		t.Fatal("nil registry host")
 	}
-	if r.Ring() != nil {
-		t.Fatal("nil registry ring")
-	}
 	snap := r.Snapshot()
 	if len(snap.Groups) != 0 {
 		t.Fatal("nil registry snapshot not empty")
-	}
-	// The ring from a nil registry must itself be inert.
-	r.Ring().Add(1, EvRST, "c", 0, 0)
-	if r.Ring().Len() != 0 {
-		t.Fatal("nil ring accepted an event")
-	}
-}
-
-func TestEventRingOrderAndOverwrite(t *testing.T) {
-	r := NewEventRing(4)
-	for i := 0; i < 6; i++ {
-		r.Add(int64(i), EvStateTransition, "conn", 0, 0)
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", r.Total())
-	}
-	evs := r.Events()
-	for i, ev := range evs {
-		if want := int64(i + 2); ev.At != want {
-			t.Fatalf("event %d At = %d, want %d (oldest-first)", i, ev.At, want)
-		}
-	}
-	if evs[0].KindS != "state" {
-		t.Fatalf("KindS = %q", evs[0].KindS)
 	}
 }
 
@@ -251,12 +221,5 @@ func BenchmarkNilCounterInc(b *testing.B) {
 	var c *Counter
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-func BenchmarkRingAdd(b *testing.B) {
-	r := NewEventRing(256)
-	for i := 0; i < b.N; i++ {
-		r.Add(int64(i), EvRetransmit, "a:1-b:2", int64(i), 1)
 	}
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"repro/internal/basis"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 )
@@ -35,9 +36,9 @@ type Conn struct {
 	// Pull-model receive state (read.go); used when Handler.Data is nil.
 	recv recvState
 
-	// watch is the door's per-connection state (observe.go), nil unless
-	// something observes the endpoint's door.
-	watch *connWatch
+	// watch is the door's per-connection stamp queue (observe.go), nil
+	// unless something observes the endpoint's door.
+	watch *basis.FIFO[stamp]
 
 	openDone  bool
 	openErr   error

@@ -6,9 +6,9 @@ package tcp
 // crossed the executor's door, a segment came in or went out, the state
 // machine moved, a point event fired — and the functions here feed the
 // consumers that happen to be attached: the MIB counter set
-// (Config.Metrics, Config.Harden; Stats is a view over it), the event
-// ring, the text trace, the Table 2 profile, the flight journal and the
-// telemetry plane.
+// (Config.Metrics, Config.Harden; Stats is a view over it), the text
+// trace, the Table 2 profile, the flight journal — which also holds the
+// point events — and the telemetry plane.
 //
 // Every function declared here only observes: it reads the TCB, bumps
 // counters the protocol never reads back, and writes to its sinks. None
@@ -104,24 +104,11 @@ type stamp struct {
 	at  int64
 }
 
-// connWatch is a connection's share of the door's state. It exists only
-// on endpoints whose door is observed.
-type connWatch struct {
-	// stamps pairs enqueues with drains; FIFO order matches to_do.
-	stamps basis.FIFO[stamp]
-	// series is the connection's telemetry sample ring, nil without a
-	// plane or when its slots ran out.
-	series *telemetry.Series
-}
-
-// observeAttach gives a fresh connection its door state.
+// observeAttach gives a fresh connection its door state: the stamp
+// queue that pairs enqueues with drains, in to_do's FIFO order.
 func (t *TCP) observeAttach(c *Conn) {
-	if !t.obs.door {
-		return
-	}
-	c.watch = new(connWatch)
-	if tl := t.cfg.Telemetry; tl != nil {
-		c.watch.series = tl.OpenSeries(c.name)
+	if t.obs.door {
+		c.watch = new(basis.FIFO[stamp])
 	}
 }
 
@@ -135,7 +122,7 @@ func (c *Conn) observeEnqueue(a action) {
 		t.obs.args = appendActionArgs(t.obs.args[:0], a)
 		st.seq = fr.Enqueue(st.at, c.name, actionName(a), t.obs.args)
 	}
-	c.watch.stamps.Enqueue(st)
+	c.watch.Enqueue(st)
 }
 
 // span carries one action's observation from observeBegin to observeEnd.
@@ -153,7 +140,7 @@ type span struct {
 //foxvet:hotpath
 func (c *Conn) observeBegin(a action) (sp span) {
 	t := c.t
-	st, _ := c.watch.stamps.Dequeue()
+	st, _ := c.watch.Dequeue()
 	sp.seq, sp.vstart = st.seq, int64(t.s.Now())
 	if tr := t.cfg.Trace; tr.On() {
 		tr.Printf("conn %v: %s (queue %d)", c.key, actionName(a), c.tcb.toDo.Len())
@@ -171,10 +158,9 @@ func (c *Conn) observeBegin(a action) (sp span) {
 }
 
 // observeEnd sees the action finish: the journal gets the changed-field
-// TCB delta — the paper's test-by-TCB-comparison applied to every action
-// — and the plane the action's virtual and wall cost plus a sample of
-// the connection when one is due. Sampling rides on executor activity;
-// no timer is ever armed for it.
+// TCB delta — the paper's test-by-TCB-comparison applied to every
+// action, and what flight.Series reads — and the plane the action's
+// virtual and wall cost.
 //
 //foxvet:hotpath
 func (c *Conn) observeEnd(a action, sp *span) {
@@ -185,31 +171,9 @@ func (c *Conn) observeEnd(a action, sp *span) {
 		t.obs.delta = appendSnapDelta(t.obs.delta[:0], &sp.pre, &post)
 		fr.End(c.name, sp.seq, t.obs.delta)
 	}
-	tl := t.cfg.Telemetry
-	if tl == nil {
-		return
+	if tl := t.cfg.Telemetry; tl != nil {
+		tl.Prof.Record(a.kind, int64(t.s.Now())-sp.vstart, time.Since(sp.wstart).Nanoseconds())
 	}
-	now := int64(t.s.Now())
-	tl.Prof.Record(a.kind, now-sp.vstart, time.Since(sp.wstart).Nanoseconds())
-	sr := c.watch.series
-	if sr == nil || !sr.Due(now, tl.SampleEveryNS()) {
-		return
-	}
-	tcb := c.tcb
-	p := telemetry.Point{
-		At:       now,
-		Cwnd:     int64(tcb.cwnd),
-		Ssthresh: int64(tcb.ssthresh),
-		SRTT:     int64(tcb.srtt),
-		RTTVar:   int64(tcb.rttvar),
-		RTO:      int64(tcb.rto),
-		Flight:   int64(tcb.flightSize()),
-		SndWnd:   int64(tcb.sndWnd),
-		RcvWnd:   int64(tcb.rcvWnd),
-		OOOBytes: int64(tcb.oooBytes),
-		MemUsed:  int64(t.mem.used),
-	}
-	sr.Append(&p)
 }
 
 // --- entries to the executor ---------------------------------------------
@@ -342,7 +306,7 @@ func (t *TCP) observeSegOut(c *Conn, dst protocol.Address, sg *segment) {
 		if c == nil {
 			what = rstSentNoConn
 		}
-		t.event(stats.EvRST, c, what, 0)
+		t.event(EventRST, c, what, 0)
 	}
 	if sg.rexmits > 0 {
 		m.RetransSegs.Inc()
@@ -387,7 +351,7 @@ func (c *Conn) observeState(from, to State) {
 			m.EstabResets.Inc()
 		}
 	}
-	c.t.event(stats.EvStateTransition, c, int64(from), int64(to))
+	c.t.event(EventState, c, int64(from), int64(to))
 }
 
 // observeMem sees the endpoint memory account after every charge, and
@@ -406,7 +370,7 @@ func (t *TCP) observeMem(used int, from, to memState) {
 	case to == memNormal:
 		h.MemPressureExit.Inc()
 	}
-	t.event(stats.EvMemPressure, nil, int64(from), int64(to))
+	t.event(EventMem, nil, int64(from), int64(to))
 }
 
 // observeRTT sees one round-trip measurement Karn's rule admitted and
@@ -448,7 +412,19 @@ const (
 	evHalfOpen                      // half-open table grew or shrank by a
 )
 
-// Operands of the ring's EvRST and EvChallengeACK events.
+// Point-event kinds, as journaled in an ev record's "ek"; each fixes
+// what the record's two operands mean.
+const (
+	EventState      = "state"     // the state machine moved from State(a) to State(b)
+	EventRexmit     = "rexmit"    // seq a retransmitted; b is its timeout count, 0 for fast
+	EventBackoff    = "backoff"   // RTO backoff reached a; the timeout is now b ns
+	EventZeroWindow = "zerowin"   // peer's window closed; persist timer armed
+	EventRST        = "rst"       // a reset, sent or received (a indexes rstDetail)
+	EventChallenge  = "challenge" // RFC 5961 challenge ACK (a indexes challengeDetail)
+	EventMem        = "mem"       // memory account moved from state a to b (normal/pressure/exhausted)
+)
+
+// Operands of the EventRST and EventChallenge events.
 const (
 	rstSent int64 = iota
 	rstReceived
@@ -483,7 +459,7 @@ func (t *TCP) note(ev noted, c *Conn, a, b int64) {
 		m.InRsts.Inc()
 	case evRstAccepted:
 		m.InRsts.Inc()
-		t.event(stats.EvRST, c, rstReceived, 0)
+		t.event(EventRST, c, rstReceived, 0)
 	case evOutOfOrder:
 		m.InOutOfOrder.Inc()
 	case evOOOEvicted:
@@ -503,20 +479,20 @@ func (t *TCP) note(ev noted, c *Conn, a, b int64) {
 		// The retransmitted segment is the queue's front; its count and
 		// the connection's backoff say how deep the episode is.
 		if front, ok := c.tcb.rexmitQ.Front(); ok {
-			t.event(stats.EvRetransmit, c, a, int64(front.rexmits))
+			t.event(EventRexmit, c, a, int64(front.rexmits))
 		}
 		if c.tcb.backoff > 1 {
-			t.event(stats.EvRTOBackoff, c, int64(c.tcb.backoff), b)
+			t.event(EventBackoff, c, int64(c.tcb.backoff), b)
 		}
 	case evFastRexmit:
-		t.event(stats.EvRetransmit, c, a, 0)
+		t.event(EventRexmit, c, a, 0)
 	case evProgressTimeout:
 		h.ProgressTimeouts.Inc()
 	case evZeroWindow:
-		t.event(stats.EvZeroWindow, c, 0, 0)
+		t.event(EventZeroWindow, c, 0, 0)
 	case evChallengeAck:
 		h.ChallengeACKsSent.Inc()
-		t.event(stats.EvChallengeACK, c, a, 0)
+		t.event(EventChallenge, c, a, 0)
 	case evChallengeMuted:
 		h.ChallengeACKsSuppressed.Inc()
 	case evOOWAckMuted:
@@ -532,48 +508,45 @@ func (t *TCP) note(ev noted, c *Conn, a, b int64) {
 	}
 }
 
-// event hands one typed event to the ring and the trace. The ring
-// stores the operands as they are — formatting waits until somebody
-// reads it (describeEvent) — and a tracer that is off formats nothing.
-func (t *TCP) event(kind stats.EventKind, c *Conn, a, b int64) {
+// event hands one point event to the journal and the trace. The journal
+// stores the operands as they are — DescribeEvent renders them when the
+// record is read — and a tracer that is off formats nothing.
+func (t *TCP) event(kind string, c *Conn, a, b int64) {
 	name := ""
 	if c != nil {
 		name = c.name
 	}
-	if r := t.cfg.Events; r != nil {
-		r.Add(int64(t.s.Now()), kind, name, a, b)
+	if fr := t.cfg.Flight; fr != nil {
+		fr.Event(int64(t.s.Now()), name, kind, a, b)
 	}
 	if tr := t.cfg.Trace; tr.On() {
-		tr.Printf("conn %s: %v %s", name, kind, describeEvent(kind, a, b))
+		tr.Printf("conn %s: %s %s", name, kind, DescribeEvent(kind, a, b))
 	}
 }
 
-// describeEvent renders a ring event's operands; the stats package
-// calls it when the ring is read.
-func describeEvent(kind stats.EventKind, a, b int64) string {
+// DescribeEvent renders a point event's operands as text.
+func DescribeEvent(kind string, a, b int64) string {
 	switch kind {
-	case stats.EvStateTransition:
+	case EventState:
 		return State(a).String() + " -> " + State(b).String()
-	case stats.EvRetransmit:
+	case EventRexmit:
 		if b == 0 {
 			return fmt.Sprintf("fast seq %d", a)
 		}
 		return fmt.Sprintf("timeout seq %d #%d", a, b)
-	case stats.EvRTOBackoff:
+	case EventBackoff:
 		return fmt.Sprintf("backoff %d rto %v", a, time.Duration(b))
-	case stats.EvZeroWindow:
+	case EventZeroWindow:
 		return "persist timer armed"
-	case stats.EvRST:
+	case EventRST:
 		return pick(rstDetail[:], a)
-	case stats.EvChallengeACK:
+	case EventChallenge:
 		return pick(challengeDetail[:], a)
-	case stats.EvMemPressure:
+	case EventMem:
 		return pick(memStateNames[:], a) + " -> " + pick(memStateNames[:], b)
 	}
 	return ""
 }
-
-func init() { stats.DescribeEvents(describeEvent) }
 
 // --- action names ---------------------------------------------------------
 

@@ -5,12 +5,13 @@ package tcp
 // box anything.
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
 	"repro/internal/basis"
+	"repro/internal/flight"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // With nothing attached, enqueue→run of one Maybe_Send allocates nothing
@@ -33,12 +34,21 @@ func TestUnobservedDoorNoAllocs(t *testing.T) {
 	})
 }
 
-// The event ring stores typed fields, so a state transition with a ring
-// attached formats nothing; the text appears only when the ring is read.
-func TestSetStateWithRingNoAllocs(t *testing.T) {
+// lastFrame keeps only the newest journal frame, in a buffer it reuses.
+type lastFrame struct{ b []byte }
+
+func (w *lastFrame) Write(p []byte) (int, error) {
+	w.b = append(w.b[:0], p...)
+	return len(p), nil
+}
+
+// An ev record stores typed operands, so a state transition with a
+// journal attached formats nothing; the text appears only when the
+// record is read.
+func TestSetStateWithJournalNoAllocs(t *testing.T) {
 	inSim(t, func(s *sim.Scheduler) {
-		ring := stats.NewEventRing(64)
-		_, c, _ := harness(s, StateEstab, Config{Events: ring})
+		w := &lastFrame{b: make([]byte, 0, 1024)}
+		_, c, _ := harness(s, StateEstab, Config{Flight: flight.NewRecorder(w)})
 		next := [2]State{StateFinWait1, StateEstab}
 		i := 0
 		allocs := testing.AllocsPerRun(1000, func() {
@@ -46,11 +56,15 @@ func TestSetStateWithRingNoAllocs(t *testing.T) {
 			i++
 		})
 		if allocs != 0 {
-			t.Fatalf("setState with a ring attached allocates %.1f times, want 0", allocs)
+			t.Fatalf("setState with a journal attached allocates %.1f times, want 0", allocs)
 		}
-		evs := ring.Events()
-		if last := evs[len(evs)-1]; last.Detail != "Estab -> Fin_Wait_1" && last.Detail != "Fin_Wait_1 -> Estab" {
-			t.Fatalf("ring rendered %q, want a FROM -> TO transition", last.Detail)
+		recs, err := flight.ReadAll(bytes.NewReader(w.b))
+		if err != nil || len(recs) != 1 || recs[0].Kind != flight.KindEvent {
+			t.Fatalf("last journal frame = %+v (%v), want one ev record", recs, err)
+		}
+		e := recs[0]
+		if d := DescribeEvent(e.EvKind, e.EvA, e.EvB); d != "Estab -> Fin_Wait_1" && d != "Fin_Wait_1 -> Estab" {
+			t.Fatalf("ev record renders %q, want a FROM -> TO transition", d)
 		}
 	})
 }
@@ -75,5 +89,15 @@ func TestDisabledTraceEventNoAllocs(t *testing.T) {
 				t.Fatalf("%s: a trace-shaped event allocates %.1f times, want 0", name, allocs)
 			}
 		})
+	}
+}
+
+// The connection series is a view over end deltas, so every field it
+// reads must be one the TCB snapshot journals.
+func TestSeriesFieldsAreJournaled(t *testing.T) {
+	for _, name := range flight.SeriesFields {
+		if snapIndex(name) < 0 {
+			t.Errorf("flight.Series reads %q, which no end delta carries", name)
+		}
 	}
 }

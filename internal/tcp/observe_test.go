@@ -1,8 +1,8 @@
 package tcp_test
 
 // The observer seam's central promise, checked as one matrix: whatever
-// is attached — nothing, the event ring, a tracer, the flight journal,
-// the sealed journal, the telemetry plane, or all of them at once —
+// is attached — nothing, a tracer, the flight journal, the sealed
+// journal, the telemetry plane, or all of them at once —
 // the same lossy transfer finishes at the same virtual instant having
 // sent the same segments, retransmitted the same ones and delivered the
 // same bytes, while each attached sink actually fills up.
@@ -15,7 +15,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/flight/seal"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -23,9 +22,8 @@ import (
 
 // sinks is what one row of the matrix attaches. A host's sinks are its
 // own (the journal's cause stack is per-host state) except the plane,
-// which both hosts share so its series count is the connection count.
+// which both hosts share.
 type sinks struct {
-	rings    [2]*stats.EventRing
 	traced   *byteCounter
 	journals [2]*bytes.Buffer
 	sealed   [2]*bytes.Buffer
@@ -38,7 +36,7 @@ type byteCounter struct{ n int }
 func (w *byteCounter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
 func (k *sinks) config(host int) tcp.Config {
-	cfg := tcp.Config{Events: k.rings[host], Telemetry: k.plane}
+	cfg := tcp.Config{Telemetry: k.plane}
 	if k.traced != nil {
 		cfg.Trace = basis.NewTracer("tcp", k.traced, true)
 	}
@@ -103,21 +101,17 @@ func observedTransfer(t *testing.T, k *sinks) (out outcome) {
 }
 
 func TestTelemetryBitIdentical(t *testing.T) {
-	ring := func() *stats.EventRing { return stats.NewEventRing(4096) }
-	plane := func() *telemetry.Telemetry { return telemetry.New(telemetry.Options{SampleEveryNS: 100_000}) }
 	rows := []struct {
 		name string
 		k    sinks
 	}{
 		{"none", sinks{}},
-		{"ring", sinks{rings: [2]*stats.EventRing{ring(), ring()}}},
 		{"trace", sinks{traced: new(byteCounter)}},
 		{"flight", sinks{journals: [2]*bytes.Buffer{{}, {}}}},
 		{"sealed flight", sinks{sealed: [2]*bytes.Buffer{{}, {}}}},
-		{"telemetry", sinks{plane: plane()}},
+		{"telemetry", sinks{plane: telemetry.New()}},
 		{"all", sinks{
-			rings: [2]*stats.EventRing{ring(), ring()}, traced: new(byteCounter),
-			sealed: [2]*bytes.Buffer{{}, {}}, plane: plane(),
+			traced: new(byteCounter), sealed: [2]*bytes.Buffer{{}, {}}, plane: telemetry.New(),
 		}},
 	}
 	var base outcome
@@ -141,32 +135,16 @@ func TestTelemetryBitIdentical(t *testing.T) {
 }
 
 // checkFilled asserts the run really was observed: every attached sink
-// is populated, and the journals it wrote replay without divergence.
+// is populated, and the journals it wrote replay without divergence and
+// hold the run's point events and connection series.
 func (k *sinks) checkFilled(t *testing.T) {
 	t.Helper()
-	for i, r := range k.rings {
-		if r == nil {
-			continue
-		}
-		kinds := map[stats.EventKind]bool{}
-		for _, e := range r.Events() {
-			kinds[e.Kind] = true
-			if e.Detail == "" {
-				t.Errorf("ring %d: %v event has no detail", i, e.Kind)
-			}
-		}
-		if !kinds[stats.EvStateTransition] || (i == 0 && !kinds[stats.EvRetransmit]) {
-			t.Errorf("ring %d saw kinds %v, want state transitions (and the sender's retransmits)", i, kinds)
-		}
-	}
 	if k.traced != nil && k.traced.n == 0 {
 		t.Error("tracer wrote nothing")
 	}
 	for i, j := range k.journals {
 		if j != nil {
-			if res := replaySide(t, []string{"client", "server"}[i], j); res.Actions == 0 {
-				t.Errorf("journal %d replayed no actions", i)
-			}
+			checkJournal(t, i, j)
 		}
 	}
 	for i, j := range k.sealed {
@@ -176,12 +154,50 @@ func (k *sinks) checkFilled(t *testing.T) {
 		if _, err := seal.Verify(bytes.NewReader(j.Bytes())); err != nil {
 			t.Errorf("sealed journal %d: %v", i, err)
 		}
-		if res := replaySide(t, []string{"client", "server"}[i], j); res.Actions == 0 {
-			t.Errorf("sealed journal %d replayed no actions", i)
-		}
+		checkJournal(t, i, j)
 	}
 	if tl := k.plane; tl != nil {
 		checkPlane(t, tl)
+	}
+}
+
+// checkJournal replays one host's journal (host 0 sends) and reads its
+// views: state transitions on both sides, retransmits on the sender,
+// and a time-ordered series carrying cwnd and RTO.
+func checkJournal(t *testing.T, host int, j *bytes.Buffer) {
+	t.Helper()
+	side := []string{"client", "server"}[host]
+	if res := replaySide(t, side, j); res.Actions == 0 {
+		t.Errorf("%s journal replayed no actions", side)
+	}
+	recs, err := flight.ReadAll(bytes.NewReader(j.Bytes()))
+	if err != nil {
+		t.Fatalf("%s journal: %v", side, err)
+	}
+	kinds := map[string]bool{}
+	conn := ""
+	for _, e := range flight.Events(recs) {
+		kinds[e.EvKind] = true
+		if tcp.DescribeEvent(e.EvKind, e.EvA, e.EvB) == "" {
+			t.Errorf("%s: %s event renders no detail", side, e.EvKind)
+		}
+		if conn == "" {
+			conn = e.Conn
+		}
+	}
+	if !kinds[tcp.EventState] || (host == 0 && !kinds[tcp.EventRexmit]) {
+		t.Errorf("%s journal holds event kinds %v, want state transitions (and the sender's retransmits)", side, kinds)
+	}
+	pts := flight.Series(recs, conn)
+	sawCwnd := false
+	for i, p := range pts {
+		if i > 0 && p.At < pts[i-1].At {
+			t.Fatalf("%s series of %s not time-ordered: %d after %d", side, conn, p.At, pts[i-1].At)
+		}
+		sawCwnd = sawCwnd || (p.Cwnd > 0 && p.RTO > 0)
+	}
+	if !sawCwnd {
+		t.Errorf("%s series of %s: no point carries cwnd and RTO (%d points)", side, conn, len(pts))
 	}
 }
 
@@ -202,32 +218,12 @@ func checkPlane(t *testing.T, tl *telemetry.Telemetry) {
 		t.Errorf("profiler recorded %d actions, histogram %d — every drained action hits both",
 			actions, tl.Action.Count())
 	}
-	series := tl.Series()
-	if len(series) != 2 {
-		t.Fatalf("got %d series, want 2 (one per connection; both hosts share the plane)", len(series))
-	}
-	sawCwnd := false
-	for _, sr := range series {
-		if sr.Total() == 0 {
-			t.Errorf("series %s took no samples", sr.Name())
-		}
-		pts := sr.Points()
-		for i, p := range pts {
-			if i > 0 && p.At < pts[i-1].At {
-				t.Fatalf("series %s not time-ordered: %d after %d", sr.Name(), p.At, pts[i-1].At)
-			}
-			sawCwnd = sawCwnd || (p.Cwnd > 0 && p.RTO > 0)
-		}
-	}
-	if !sawCwnd {
-		t.Error("no sampled point carries cwnd and RTO")
-	}
 }
 
 // TestTelemetryDirectDispatch: with the to_do queue bypassed there is no
 // door to observe, so New must drop the door's sinks entirely.
 func TestTelemetryDirectDispatch(t *testing.T) {
-	tl := telemetry.New(telemetry.Options{})
+	tl := telemetry.New()
 	var journal bytes.Buffer
 	runPair(t, wire.Config{}, tcp.Config{DirectDispatch: true, Telemetry: tl, Flight: flight.NewRecorder(&journal)},
 		func(s *sim.Scheduler, a, b tcpHost) {
@@ -243,8 +239,8 @@ func TestTelemetryDirectDispatch(t *testing.T) {
 				t.Fatalf("received %d bytes, want 5000", rc.buf.Len())
 			}
 		})
-	if tl.Action.Count() != 0 || len(tl.Series()) != 0 || journal.Len() != 0 {
-		t.Fatalf("DirectDispatch run touched the door's sinks: %d actions, %d series, %d journal bytes",
-			tl.Action.Count(), len(tl.Series()), journal.Len())
+	if tl.Action.Count() != 0 || journal.Len() != 0 {
+		t.Fatalf("DirectDispatch run touched the door's sinks: %d actions, %d journal bytes",
+			tl.Action.Count(), journal.Len())
 	}
 }

@@ -119,12 +119,13 @@ func (rc recordedConfig) config() Config {
 // tcbSnap is the journaled projection of a TCB: the fields whose
 // evolution the paper's test-by-TCB-comparison methodology tracks, as
 // int64s in snapNames order.
-type tcbSnap [14]int64
+type tcbSnap [16]int64
 
 // snapNames are the delta field names, aligned with tcbSnap indices.
-var snapNames = [14]string{
+var snapNames = [16]string{
 	"state", "snd_una", "snd_nxt", "rcv_nxt", "snd_wnd", "rcv_wnd",
 	"cwnd", "ssthresh", "rto", "timers", "qb", "ooo", "rexq", "rcvbuf",
+	"srtt", "rttvar",
 }
 
 // snapTCB projects the connection's current TCB.
@@ -153,6 +154,8 @@ func (c *Conn) snapTCB() tcbSnap {
 		int64(tcb.oooBytes),
 		int64(tcb.rexmitQ.Len()),
 		int64(c.recv.buffered),
+		int64(tcb.srtt),
+		int64(tcb.rttvar),
 	}
 }
 

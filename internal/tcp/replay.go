@@ -142,11 +142,12 @@ func ReplayJournal(recs []flight.Record) (*ReplayResult, error) {
 			// checks seals before replay ever starts.
 			continue
 
-		case flight.KindFault:
-			// Scripted fault-plane timeline (internal/fault): pure
-			// observation of what the wire was doing, not an action the
-			// machine performed. Replay runs over a null net, so the
-			// fault has already had its effect on the recorded history.
+		case flight.KindFault, flight.KindEvent:
+			// Pure observation, not an action the machine performed: the
+			// scripted fault-plane timeline (internal/fault) — replay runs
+			// over a null net, so the fault has already had its effect
+			// on the recorded history — and the point events, which the
+			// replayed machine raises again as it performs.
 			continue
 
 		case flight.KindHdr:
@@ -340,7 +341,7 @@ func ReplayJournalParallel(recs []flight.Record, workers int) (*ReplayResult, er
 	next := 0
 	for i := 1; i < len(recs); i++ {
 		rec := &recs[i]
-		if rec.Kind == flight.KindSeal || rec.Kind == flight.KindHdr || rec.Kind == flight.KindFault {
+		if k := rec.Kind; k == flight.KindSeal || k == flight.KindHdr || k == flight.KindFault || k == flight.KindEvent {
 			continue
 		}
 		w, ok := shard[rec.Conn]

@@ -141,19 +141,19 @@ type Config struct {
 	// them.
 	Metrics *stats.TCPMIB
 	Harden  *stats.HardenMIB
-	// Events, when non-nil, receives typed events (state transitions,
-	// retransmits, RTO backoff, zero-window, RST).
-	Events *stats.EventRing
 	// Flight, when non-nil, journals every enqueued action with its
-	// cause and a per-drain TCB delta (internal/flight); cmd/foxreplay
-	// re-executes and audits the journal. Ignored under DirectDispatch —
-	// with the to_do queue bypassed there is no door to journal.
+	// cause, a per-drain TCB delta and every point event — state
+	// transitions, retransmits, RTO backoff, zero windows, resets
+	// (internal/flight); cmd/foxreplay re-executes and audits the
+	// journal, and flight.Events and flight.Series read it. Ignored
+	// under DirectDispatch — with the to_do queue bypassed there is no
+	// door to journal.
 	Flight *flight.Recorder
 	// Telemetry, when non-nil, records hot-path latency histograms
 	// (segment RTT, enqueue→perform at the single door, user Read/Write
-	// completion), per-connection time-series rings, and the per-action
-	// executor profile (internal/telemetry); foxstat -serve exports it
-	// live. Ignored under DirectDispatch, like Flight.
+	// completion) and the per-action executor profile
+	// (internal/telemetry); foxstat -serve exports it live. Ignored
+	// under DirectDispatch, like Flight.
 	Telemetry *telemetry.Telemetry
 }
 

@@ -7,9 +7,8 @@ import (
 
 // Prometheus text exposition (version 0.0.4) for one telemetry plane.
 // Histograms render as summaries (quantile series plus _count/_sum/_max)
-// rather than 976-bucket histograms; the per-connection rings contribute
-// their newest point as gauges, so a dashboard scraping /metrics sees
-// cwnd and the estimators move without pulling whole series dumps.
+// rather than 976-bucket histograms. Per-connection gauges come from the
+// flight journal, not from here (cmd/foxstat renders them).
 
 type promHist struct {
 	name, help string
@@ -54,30 +53,4 @@ func (t *Telemetry) WriteMetrics(w io.Writer, hostLabel string) {
 		fmt.Fprintf(w, "fox_executor_wall_ns_total{host=%q,module=%q} %d\n", host, row.Name, row.WallNS)
 	}
 
-	series := t.Series()
-	if len(series) == 0 {
-		return
-	}
-	gauges := []struct {
-		name string
-		get  func(*Point) int64
-	}{
-		{"fox_conn_cwnd_bytes", func(p *Point) int64 { return p.Cwnd }},
-		{"fox_conn_ssthresh_bytes", func(p *Point) int64 { return p.Ssthresh }},
-		{"fox_conn_srtt_ns", func(p *Point) int64 { return p.SRTT }},
-		{"fox_conn_rto_ns", func(p *Point) int64 { return p.RTO }},
-		{"fox_conn_flight_bytes", func(p *Point) int64 { return p.Flight }},
-		{"fox_conn_snd_wnd_bytes", func(p *Point) int64 { return p.SndWnd }},
-		{"fox_conn_rcv_wnd_bytes", func(p *Point) int64 { return p.RcvWnd }},
-		{"fox_conn_ooo_bytes", func(p *Point) int64 { return p.OOOBytes }},
-		{"fox_conn_mem_used_bytes", func(p *Point) int64 { return p.MemUsed }},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", g.name)
-		for _, sr := range series {
-			if p, ok := sr.Last(); ok {
-				fmt.Fprintf(w, "%s{host=%q,conn=%q} %d\n", g.name, host, sr.Name(), g.get(&p))
-			}
-		}
-	}
 }

@@ -1,11 +1,11 @@
-// Package telemetry is the stack's observability plane: allocation-free
-// latency histograms for the hot paths (segment RTT samples, the
+// Package telemetry is the stack's wall-clock and latency plane: what
+// the flight journal cannot hold. Four allocation-free latency
+// histograms for the hot paths (segment RTT samples, the
 // enqueue→perform gap at the executor's single door, user Read/Write
-// completion), fixed-capacity per-connection time-series rings sampled
-// in virtual time (cwnd, ssthresh, RTT estimators, flight size, windows,
-// reassembly depth, memory-account charge), and a per-action executor
-// profile attributing virtual and wall time to the paper's four modules
-// — the Table 2 breakdown made continuous.
+// completion) and a per-action executor profile attributing virtual and
+// wall time to the paper's four modules — the Table 2 breakdown made
+// continuous. A connection's congestion and window series is not kept
+// here: it is a view over the journal's TCB deltas (flight.Series).
 //
 // Everything here is a pure observer with the same discipline the flight
 // recorder meets: hooks read protocol state and mutate only atomics,
@@ -14,48 +14,13 @@
 // quasisync analyzer checks the structural half; the experiments
 // package's overhead run checks the dynamic half). Every exported value
 // is atomic, which is what lets foxstat -serve scrape a simulation
-// while it runs: the exporter's goroutine reads histograms, rings, and
-// profiles concurrently with the executor writing them.
+// while it runs: the exporter's goroutine reads histograms and profiles
+// concurrently with the executor writing them.
 package telemetry
-
-import "sync/atomic"
-
-// Options sizes a telemetry plane. Zero values take defaults.
-type Options struct {
-	// MaxConns bounds how many connections get a series ring; rings are
-	// preallocated so attaching one is just claiming a slot (the HTTP
-	// exporter may be walking the slice concurrently). Connections past
-	// the bound keep their histograms and profile but drop their series,
-	// counted in Dropped. Default 16.
-	MaxConns int
-	// SeriesCap is each ring's point capacity; the ring wraps, keeping
-	// the newest SeriesCap samples. Default 512.
-	SeriesCap int
-	// SampleEveryNS is the minimum virtual time between two samples of
-	// one connection, in nanoseconds. Sampling piggybacks on executor
-	// activity — an idle connection takes no samples, and no timer is
-	// ever armed for telemetry (a timer would perturb the run it
-	// observes). Default 1 ms of virtual time.
-	SampleEveryNS int64
-}
-
-func (o *Options) fill() {
-	if o.MaxConns == 0 {
-		o.MaxConns = 16
-	}
-	if o.SeriesCap == 0 {
-		o.SeriesCap = 512
-	}
-	if o.SampleEveryNS == 0 {
-		o.SampleEveryNS = 1_000_000
-	}
-}
 
 // Telemetry is one endpoint's telemetry plane. All fields are safe for
 // concurrent scraping while the simulation runs.
 type Telemetry struct {
-	opts Options
-
 	// Action is the enqueue→perform latency at the executor's single
 	// door, in virtual nanoseconds: how long a tcp_action waited on
 	// to_do before the drain performed it.
@@ -71,70 +36,8 @@ type Telemetry struct {
 
 	// Prof attributes executor work per action kind and per module.
 	Prof Prof
-
-	nconns  atomic.Int64
-	dropped atomic.Uint64
-	series  []*Series
 }
 
-// New builds a telemetry plane with every ring preallocated, so the hot
-// path never allocates and the exporter can walk series slots while the
-// simulation claims them.
-func New(o Options) *Telemetry {
-	o.fill()
-	t := &Telemetry{opts: o}
-	t.series = make([]*Series, o.MaxConns)
-	for i := range t.series {
-		t.series[i] = newSeries(o.SeriesCap)
-	}
-	return t
-}
-
-// SampleEveryNS reports the sampling interval (virtual ns).
-func (t *Telemetry) SampleEveryNS() int64 { return t.opts.SampleEveryNS }
-
-// OpenSeries claims the next preallocated ring for a connection and
-// names it. Returns nil when MaxConns rings are already claimed; the
-// drop is counted. Called at connection creation, on the executor's
-// thread.
-func (t *Telemetry) OpenSeries(name string) *Series {
-	i := t.nconns.Add(1) - 1
-	if int(i) >= len(t.series) {
-		t.dropped.Add(1)
-		return nil
-	}
-	s := t.series[i]
-	s.setName(name)
-	return s
-}
-
-// Dropped reports how many connections wanted a series ring after the
-// MaxConns slots were exhausted.
-func (t *Telemetry) Dropped() uint64 { return t.dropped.Load() }
-
-// Series returns the claimed rings, in claim order. Safe to call while
-// the simulation runs: a ring whose name is still empty was claimed but
-// not yet named and is skipped.
-func (t *Telemetry) Series() []*Series {
-	n := int(t.nconns.Load())
-	if n > len(t.series) {
-		n = len(t.series)
-	}
-	out := make([]*Series, 0, n)
-	for _, s := range t.series[:n] {
-		if s.Name() != "" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Lookup finds a claimed ring by connection name.
-func (t *Telemetry) Lookup(name string) *Series {
-	for _, s := range t.Series() {
-		if s.Name() == name {
-			return s
-		}
-	}
-	return nil
-}
+// New returns an empty telemetry plane; its zero value is ready, and
+// nothing in it allocates after this.
+func New() *Telemetry { return new(Telemetry) }

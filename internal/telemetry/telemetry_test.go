@@ -7,49 +7,19 @@ import (
 
 // TestTelemetryEmitNoAllocs proves the hot-path emit functions never
 // allocate — the property the //foxvet:hotpath markers assert. One
-// histogram observation, one profiler record, one pacing check, and one
-// ring append per run: the full per-action telemetry cost.
+// histogram observation per hot path and one profiler record per run:
+// the full per-action telemetry cost.
 func TestTelemetryEmitNoAllocs(t *testing.T) {
-	tl := New(Options{})
-	sr := tl.OpenSeries("conn")
-	p := Point{At: 1, Cwnd: 4096}
+	tl := New()
 	n := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		n++
 		tl.Action.Observe(uint64(n))
 		tl.RTT.Observe(uint64(n) * 1000)
 		tl.Prof.Record(ActProcessData, n, n)
-		if sr.Due(n*2_000_000, tl.SampleEveryNS()) {
-			p.At = n * 2_000_000
-			sr.Append(&p)
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("telemetry emit path allocates %.1f times per op, want 0", allocs)
-	}
-}
-
-func TestOpenSeriesOverflow(t *testing.T) {
-	tl := New(Options{MaxConns: 2})
-	a := tl.OpenSeries("a")
-	b := tl.OpenSeries("b")
-	if a == nil || b == nil {
-		t.Fatal("first MaxConns claims must succeed")
-	}
-	if c := tl.OpenSeries("c"); c != nil {
-		t.Fatal("claim past MaxConns must return nil")
-	}
-	if tl.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1", tl.Dropped())
-	}
-	if got := len(tl.Series()); got != 2 {
-		t.Fatalf("Series lists %d rings, want 2", got)
-	}
-	if tl.Lookup("b") != b {
-		t.Fatal("Lookup(b) should find the claimed ring")
-	}
-	if tl.Lookup("zzz") != nil {
-		t.Fatal("Lookup of unknown name should be nil")
 	}
 }
 
@@ -98,12 +68,10 @@ func TestModuleOfCoversAllKinds(t *testing.T) {
 }
 
 func TestWriteMetricsRendering(t *testing.T) {
-	tl := New(Options{})
+	tl := New()
 	tl.Action.Observe(100)
 	tl.RTT.Observe(5000)
 	tl.Prof.Record(ActProcessData, 100, 10)
-	sr := tl.OpenSeries(`conn"1`)
-	sr.Append(&Point{At: 1, Cwnd: 4096, RTO: 3_000_000})
 
 	var b strings.Builder
 	tl.WriteMetrics(&b, "host1")
@@ -113,8 +81,6 @@ func TestWriteMetricsRendering(t *testing.T) {
 		`fox_rtt_sample_ns_count{host="host1"} 1`,
 		`fox_executor_actions_total{host="host1",action="Process_Data"} 1`,
 		`fox_executor_virtual_ns_total{host="host1",module="receive"} 100`,
-		`fox_conn_cwnd_bytes{host="host1",conn="conn\"1"} 4096`,
-		`fox_conn_rto_ns{host="host1",conn="conn\"1"} 3000000`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
