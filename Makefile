@@ -87,11 +87,19 @@ perf:
 #    connection per transaction, and its allocs_per_txn reads 66.01 — 173.03
 #    before the receive path borrowed, 177.03 when every thread was a new
 #    goroutine, 197 when every thread is a new coroutine.
+#  - Loss recovery that waits for the timer, or holds that make garbage:
+#    loss_w64k's virt_txn_ms_p99 reads 3962 with NewReno fast recovery and
+#    limited transmit (12907 when both TCPs were Tahoe and every second hole
+#    in a window waited out an RTO), and a held out-of-order frame goes back
+#    to the wire's pool when its hold ends, so the transaction allocates 6.5
+#    objects and 0.40 KB (216 and 114 when every hold kept its frame for the
+#    collector and cloned its header).
 perf-gate:
 	@awk 'BEGIN { \
 	    max["sim.forks_per_seg", "rr_1b"] = 0; max["sim.forks_per_seg", "bulk_w4k"] = 0; max["sim.forks_per_seg", "bulk_w64k"] = 0; \
 	    max["alloc_KB_per_txn", "bulk_w4k"] = 100; max["alloc_KB_per_txn", "bulk_w64k"] = 100; \
-	    max["allocs_per_txn", "rr_1b"] = 6; max["allocs_per_txn", "churn_2c"] = 66.11 } \
+	    max["allocs_per_txn", "rr_1b"] = 6; max["allocs_per_txn", "churn_2c"] = 66.11; \
+	    max["allocs_per_txn", "loss_w64k"] = 20; max["alloc_KB_per_txn", "loss_w64k"] = 2; max["virt_txn_ms_p99", "loss_w64k"] = 5000 } \
 	  /"workload":/ { w = $$2; gsub(/[",]/, "", w) } \
 	  { m = $$1; gsub(/[":]/, "", m) } \
 	  (m, w) in max { seen[m, w] = 1; \

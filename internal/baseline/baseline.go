@@ -18,6 +18,14 @@
 // estimation with backoff, fast retransmit, and the full close handshake
 // — but none of the paper's structural claims. The difference Table 1
 // reports is then attributable to structure, which is the experiment.
+//
+// Its loss recovery is Tahoe, with classic Nagle, as the x-kernel era's
+// was: a fast retransmit drops cwnd to one MSS, and a second hole in a
+// window waits for the retransmission timer. repro/internal/tcp recovers
+// with RFC 5681 fast recovery, RFC 6582 NewReno partial ACKs and RFC 3042
+// limited transmit instead. That is the one declared behavioural
+// difference between the two: a clean wire never shows it, a lossy one
+// (the benchmark's loss_w64k) does.
 package baseline
 
 import (

@@ -15,8 +15,32 @@ type Packet struct {
 	buf []byte // backing store
 	off int    // start of the current view within buf
 	end int    // one past the last data byte within buf
-	// kept records that a receiver took the backing store for good (Keep).
+	// kept records that a receiver took the backing store over (Keep).
 	kept bool
+	// home is the free list the backing store goes back to when a holder
+	// releases it (Rewire names it); nil for a store nobody takes back.
+	home Home
+}
+
+// Home is a device's frame memory: the free list a received frame's
+// backing store came from, and goes back to when the holder that kept it
+// lets go (Frame.Release).
+type Home interface{ Release(buf []byte) }
+
+// Frame is a kept backing store together with its home. The zero Frame
+// holds nothing.
+type Frame struct {
+	buf  []byte
+	home Home
+}
+
+// Release sends the store home; neither the holder nor any slice of the
+// store may be used after. A store without a home (FromWire, AllocPacket)
+// is left to the collector, and releasing the zero Frame does nothing.
+func (f Frame) Release() {
+	if f.home != nil {
+		f.home.Release(f.buf)
+	}
 }
 
 // NewPacket returns a packet whose payload is a copy of data, with
@@ -49,20 +73,25 @@ func FromWire(raw []byte) *Packet {
 }
 
 // Rewire re-views p over raw exactly as FromWire would have built it, so
-// a device's receive loop can run every upcall chain over one Packet. It
-// clears Kept.
-func (p *Packet) Rewire(raw []byte) {
-	*p = Packet{buf: raw, end: len(raw)}
+// a device's receive loop can run every upcall chain over one Packet, and
+// records home as where raw goes back to once a holder that kept it lets
+// go. It clears Kept.
+func (p *Packet) Rewire(raw []byte, home Home) {
+	*p = Packet{buf: raw, end: len(raw), home: home}
 }
 
 // Keep is the receive path's one hand-over. An upcall borrows its packet:
 // the device takes the backing store back when the upcall chain returns
 // and reuses it for a later frame. A layer that must hold received bytes
-// past its upcall calls Keep first; the store then belongs to the holders
-// of its slices for good — it leaves the device's pool for the collector,
-// so there is no release to call and nothing to count. Keep does not make
-// the Packet itself safe to hold: the device reuses that too.
-func (p *Packet) Keep() { p.kept = true }
+// past its upcall calls Keep first; the store then belongs to the holder,
+// and the device does not take it back. The holder gives it back with the
+// returned Frame's Release when its hold ends; a holder that never does
+// leaves it to the collector. Keep does not make the Packet itself safe
+// to hold: the device reuses that too.
+func (p *Packet) Keep() Frame {
+	p.kept = true
+	return Frame{buf: p.buf, home: p.home}
+}
 
 // Kept reports whether Keep was called since the packet was built or
 // rewired.

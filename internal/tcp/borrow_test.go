@@ -20,13 +20,30 @@ import (
 // device stands in for wire.Port under a fakeNet endpoint: frames arrive
 // in buffers from a small LIFO pool, run through TCP.handler in one reused
 // Packet, and go back to the pool when handler returns unless somebody
-// kept them — poisoned first, always, so a holder that did not take
-// ownership reads 0xA5 whichever build runs the test.
+// kept them, or when the holder releases them — poisoned first, always,
+// so a holder that did not take ownership, or used a frame after
+// releasing it, reads 0xA5 whichever build runs the test.
 type device struct {
-	ep   *TCP
-	src  protocol.Address
-	free [][]byte
-	kept int
+	ep       *TCP
+	src      protocol.Address
+	free     [][]byte
+	kept     int
+	released int
+}
+
+// Release is the device's basis.Home: a holder's frame comes back.
+func (d *device) Release(buf []byte) {
+	d.released++
+	d.recycle(buf)
+}
+
+// recycle poisons buf and puts it on the free list.
+func (d *device) recycle(buf []byte) {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = basis.PoisonByte
+	}
+	d.free = append(d.free, buf)
 }
 
 func newDevice(ep *TCP) *device {
@@ -51,7 +68,7 @@ func (d *device) deliverIn(rx *basis.Packet, sg *segment) {
 		buf = make([]byte, 2048)
 	}
 	n := sg.headerBytes() + len(sg.data)
-	rx.Rewire(buf[:n])
+	rx.Rewire(buf[:n], d)
 	rx.Pull(sg.headerBytes())
 	copy(rx.Bytes(), sg.data)
 	sg.marshal(rx, 0, false)
@@ -60,10 +77,7 @@ func (d *device) deliverIn(rx *basis.Packet, sg *segment) {
 		d.kept++
 		return
 	}
-	for i := range buf {
-		buf[i] = basis.PoisonByte
-	}
-	d.free = append(d.free, buf)
+	d.recycle(buf)
 }
 
 // churn pushes n further frames through the device: duplicates of data
@@ -121,8 +135,8 @@ func TestOutOfOrderHoldOwnsItsFrame(t *testing.T) {
 				if c.tcb.rcvNxt != at(4)+1 || c.state != StateCloseWait {
 					t.Fatalf("rcv_nxt %d state %v, want %d Close_Wait (the held FIN)", c.tcb.rcvNxt, c.state, at(4)+1)
 				}
-				if dev.kept != tc.kept {
-					t.Fatalf("%d frames kept in all, want only the held ones (%d)", dev.kept, tc.kept)
+				if dev.kept != tc.kept || dev.released != tc.kept {
+					t.Fatalf("%d frames kept and %d released in all, want only the held ones (%d), each back home", dev.kept, dev.released, tc.kept)
 				}
 			})
 		})
@@ -192,8 +206,8 @@ func TestReadBufferOwnsItsFrames(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatal("Read returned bytes that differ from the ones delivered: the buffer did not own its frames")
 		}
-		if dev.kept != 5 {
-			t.Fatalf("%d frames kept in all, want only the five buffered ones", dev.kept)
+		if dev.kept != 5 || dev.released != 0 {
+			t.Fatalf("%d frames kept and %d released in all, want only the five buffered ones, none released", dev.kept, dev.released)
 		}
 	})
 }
@@ -337,4 +351,98 @@ func TestHandlerAllocatesNothing(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestHoldDrainCycleAllocatesNothing: a segment beyond a hole is held in
+// the frame it arrived in, under a header from the endpoint's free list;
+// duplicates come and go meanwhile; the hole fills, the drain delivers the
+// held text, its Data upcall returns and the hold ends — the frame goes
+// home and the header back to the list. In steady state the cycle touches
+// no heap. The device poisons every frame it takes back, so a hold that
+// ended before its upcall, or a frame released twice and handed out again,
+// shows as 0xA5 or foreign bytes in what Data sees.
+func TestHoldDrainCycleAllocatesNothing(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		cfg  Config
+	}{{"queue", Config{}}, {"direct dispatch", Config{DirectDispatch: true}}} {
+		t.Run(cfg.name, func(t *testing.T) {
+			inSim(t, func(s *sim.Scheduler) {
+				ep, c, fn := harness(s, StateEstab, cfg.cfg)
+				fn.discard = true
+				dev := newDevice(ep)
+				var rx basis.Packet
+				held := &segment{ack: 1001, flags: flagACK, wnd: 4096, data: fill('h', 1000)}
+				filler := &segment{ack: 1001, flags: flagACK, wnd: 4096, data: fill('f', 1000)}
+				dup := &segment{ack: 1001, flags: flagACK, wnd: 4096, data: fill('x', 100)}
+				want := append(fill('f', 1000), fill('h', 1000)...)
+				var got []byte
+				c.handler = Handler{Data: func(c *Conn, d []byte) { got = append(got, d...) }}
+				cycle := func() {
+					got = got[:0]
+					held.seq = c.tcb.rcvNxt + 1000
+					dev.deliverIn(&rx, held)
+					for i := 0; i < 4; i++ {
+						dup.seq = c.tcb.rcvNxt - 100
+						dev.deliverIn(&rx, dup)
+					}
+					filler.seq = c.tcb.rcvNxt
+					dev.deliverIn(&rx, filler)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("a hold/drain cycle delivered %d bytes differing from the %d sent", len(got), len(want))
+					}
+				}
+				cycle()
+				if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+					t.Errorf("a hold/drain cycle allocates %.1f objects, want 0", allocs)
+				}
+				if dev.kept != 202 || dev.released != 202 {
+					t.Fatalf("%d frames kept, %d released; want 202 each", dev.kept, dev.released)
+				}
+				if len(c.tcb.outOfOrder) != 0 || c.tcb.oooBytes != 0 || len(ep.heldFree) != 1 {
+					t.Fatalf("after the cycles: %d held, %d bytes charged, %d headers free; want 0, 0, 1",
+						len(c.tcb.outOfOrder), c.tcb.oooBytes, len(ep.heldFree))
+				}
+			})
+		})
+	}
+}
+
+// Every way a hold ends sends the frame home: eviction at the reassembly
+// cap, a drained segment that duplicates text already delivered, and
+// deleteTCB.
+func TestHeldFramesGoHome(t *testing.T) {
+	inSim(t, func(s *sim.Scheduler) {
+		ep, c, fn := harness(s, StateEstab, Config{ReassemblyLimit: 3 * (1000 + oooOverhead)})
+		fn.discard = true
+		c.handler = Handler{Data: func(c *Conn, d []byte) {}}
+		c.tcb.rcvWnd = 16000
+		dev := newDevice(ep)
+		at := func(i int) seq { return seq(5001 + i*1000) }
+		for _, i := range []int{2, 3, 4, 1} { // the fourth evicts the farthest, at(4)
+			dev.deliver(&segment{seq: at(i), ack: 1001, flags: flagACK, wnd: 4096, data: fill(byte('a'+i), 1000)})
+		}
+		if len(c.tcb.outOfOrder) != 3 || dev.kept != 4 || dev.released != 1 {
+			t.Fatalf("eviction: %d held, %d kept, %d released; want 3, 4, 1", len(c.tcb.outOfOrder), dev.kept, dev.released)
+		}
+		// A segment beyond the cap never holds its frame at all.
+		dev.deliver(&segment{seq: at(5), ack: 1001, flags: flagACK, wnd: 4096, data: fill('f', 1000)})
+		if dev.kept != 4 || dev.released != 1 {
+			t.Fatalf("an arrival evicted at once: %d kept, %d released; want it never kept", dev.kept, dev.released)
+		}
+		// The filler covers at(1) too: that held segment drains as a full
+		// duplicate, the next two are delivered.
+		dev.deliver(&segment{seq: at(0), ack: 1001, flags: flagACK, wnd: 4096, data: fill('a', 2000)})
+		if len(c.tcb.outOfOrder) != 0 || dev.released != 4 || c.tcb.rcvNxt != at(4) {
+			t.Fatalf("drain: %d held, %d released, rcv_nxt %d; want 0, 4, %d", len(c.tcb.outOfOrder), dev.released, c.tcb.rcvNxt, at(4))
+		}
+		// Teardown with holds outstanding.
+		dev.deliver(&segment{seq: at(5), ack: 1001, flags: flagACK, wnd: 4096, data: fill('f', 1000)})
+		dev.deliver(&segment{seq: at(7), ack: 1001, flags: flagACK, wnd: 4096, data: fill('h', 1000)})
+		c.enqueue(action{kind: actDeleteTCB})
+		c.run()
+		if dev.kept != 6 || dev.released != 6 || c.tcb.oooBytes != 0 {
+			t.Fatalf("deleteTCB: %d kept, %d released, %d bytes charged; want 6, 6, 0", dev.kept, dev.released, c.tcb.oooBytes)
+		}
+	})
 }

@@ -205,6 +205,10 @@ func (c *Conn) perform(a action) {
 		c.note(evDelivered, int64(len(a.seg.data)), 0)
 		if c.handler.Data != nil {
 			c.handler.Data(c, a.seg.data)
+			// Data borrows its bytes: a held segment's hold ends here.
+			if a.seg.hold != nil {
+				c.t.release(a.seg)
+			}
 		} else {
 			c.bufferData(a.seg)
 		}
@@ -285,10 +289,11 @@ func (c *Conn) deleteTCB() {
 	if c.t.conns[c.key] == c {
 		delete(c.t.conns, c.key)
 	}
-	// Release the send queue, the reassembly queue (nil the slots so the
-	// backing array retains nothing), and the receive-buffer charge. The
-	// receive buffer itself stays readable — Read drains delivered data
-	// even after teardown — but it no longer counts against the account.
+	// Release the send queue, the reassembly queue (its frames go home,
+	// and the slots are nilled so the backing array retains nothing), and
+	// the receive-buffer charge. The receive buffer itself stays readable
+	// — Read drains delivered data even after teardown — but it no longer
+	// counts against the account.
 	tcb := c.tcb
 	// The TCB outlives the connection (Stats reads it), so whatever stays
 	// on rexmitQ stays reachable for as long as the user holds the Conn.
@@ -306,7 +311,8 @@ func (c *Conn) deleteTCB() {
 		tcb.queuedBytes = 0
 		tcb.queuedFront = 0
 	}
-	for i := range tcb.outOfOrder {
+	for i, sg := range tcb.outOfOrder {
+		c.t.release(sg)
 		tcb.outOfOrder[i] = nil
 	}
 	tcb.outOfOrder = tcb.outOfOrder[:0]

@@ -186,6 +186,42 @@ func TestBulkTransferOverLossyWire(t *testing.T) {
 	})
 }
 
+// Every frame TCP held for reassembly over a lossy transfer went home: at
+// quiesce the wire's frame pool has every buffer it handed out back
+// (gets − puts − held = 0) and nothing is still held — each hold ended at
+// its Data upcall, an eviction, a duplicate drain or the teardown.
+func TestLossyTransferReturnsHeldFrames(t *testing.T) {
+	runPairOn(t, wire.Config{Loss: 0.05, Jitter: 0.05, JitterMax: 2 * time.Millisecond, Seed: 42}, tcp.Config{InitialWindow: 32 << 10},
+		func(s *sim.Scheduler, seg *wire.Segment, a, b tcpHost) {
+			var rc collector
+			b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler { return rc.handler() })
+			conn, err := a.TCP.Open(b.A, 80, tcp.Handler{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := make([]byte, 300_000)
+			r := basis.NewRand(3)
+			for i := range data {
+				data[i] = byte(r.Uint64())
+			}
+			s.Fork("sender", func() {
+				conn.Write(data)
+				conn.Close()
+			})
+			s.Sleep(30 * time.Minute)
+			if !bytes.Equal(rc.buf.Bytes(), data) || !rc.peerClosed {
+				t.Fatalf("received %d of %d bytes, peer closed %v", rc.buf.Len(), len(data), rc.peerClosed)
+			}
+			if b.TCP.Stats().OutOfOrder == 0 {
+				t.Fatal("no segment was held out of order: the ledger proves nothing")
+			}
+			gets, puts, held := seg.FrameLedger()
+			if gets-puts-held != 0 || held != 0 {
+				t.Fatalf("frame ledger at quiesce: gets %d puts %d held %d, want gets = puts and nothing held", gets, puts, held)
+			}
+		})
+}
+
 func TestBulkTransferWithReordering(t *testing.T) {
 	runPair(t, wire.Config{Jitter: 0.2, JitterMax: 3 * time.Millisecond, Seed: 11}, tcp.Config{}, func(s *sim.Scheduler, a, b tcpHost) {
 		var rc collector

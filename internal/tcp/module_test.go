@@ -658,8 +658,195 @@ func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
 		if got := ep.Stats().Retransmits; got != 1 {
 			t.Fatalf("Retransmits = %d", got)
 		}
-		if c.tcb.cwnd != 1000 {
-			t.Fatalf("cwnd = %d after loss (Tahoe wants 1 MSS)", c.tcb.cwnd)
+		// Fast recovery (RFC 5681 §3.2): ssthresh = max(3000/2, 2 MSS),
+		// cwnd = ssthresh + the three segments the duplicates say left.
+		if c.tcb.ssthresh != 2000 || c.tcb.cwnd != 5000 || c.tcb.recovery != recoveryFast || c.tcb.recover != 4001 {
+			t.Fatalf("after the third duplicate: ssthresh %d cwnd %d recovery %d recover %d; want 2000, 5000, fast, 4001",
+				c.tcb.ssthresh, c.tcb.cwnd, c.tcb.recovery, c.tcb.recover)
+		}
+	})
+}
+
+// recoveryHarness is harness with a 16000-byte peer window and n bytes
+// written and in flight, the wire emptied.
+func recoveryHarness(s *sim.Scheduler, n int) (*TCP, *Conn, *fakeNet) {
+	ep, c, fn := harness(s, StateEstab, Config{})
+	c.tcb.sndWnd, c.tcb.maxWnd = 16000, 16000
+	write(c, make([]byte, n))
+	fn.take()
+	return ep, c, fn
+}
+
+// dupAcks injects n duplicate ACKs of snd_una.
+func dupAcks(c *Conn, n int) {
+	for i := 0; i < n; i++ {
+		inject(c, &segment{seq: 5001, ack: c.tcb.sndUna, flags: flagACK, wnd: uint16(c.tcb.sndWnd)})
+	}
+}
+
+// ackTo injects an ACK of everything below ack.
+func ackTo(c *Conn, ack seq) {
+	inject(c, &segment{seq: 5001, ack: ack, flags: flagACK, wnd: uint16(c.tcb.sndWnd)})
+}
+
+// dataSeqs lists the seq of every data segment in sent.
+func dataSeqs(sent []*segment) []seq {
+	var out []seq
+	for _, sg := range sent {
+		if len(sg.data) > 0 {
+			out = append(out, sg.seq)
+		}
+	}
+	return out
+}
+
+// A partial ACK in fast recovery (RFC 6582 §3.2 step 4) retransmits the
+// next hole at once: the second loss in a window costs no timeout.
+func TestPartialAckRetransmitsWithoutTimer(t *testing.T) {
+	inSim(t, func(s *sim.Scheduler) {
+		ep, c, fn := recoveryHarness(s, 5000)
+		start := s.Now()
+		dupAcks(c, 3)
+		if got := dataSeqs(fn.take()); len(got) != 1 || got[0] != 1001 {
+			t.Fatalf("third duplicate sent %v, want the fast retransmission of 1001", got)
+		}
+		cwnd := c.tcb.cwnd
+		ackTo(c, 2001) // 1001 arrived; 2001 is the next hole
+		if got := dataSeqs(fn.take()); len(got) != 1 || got[0] != 2001 {
+			t.Fatalf("partial ACK sent %v, want the retransmission of 2001", got)
+		}
+		if c.tcb.recovery != recoveryFast || c.tcb.cwnd != cwnd {
+			t.Fatalf("after a partial ACK of one MSS: recovery %d cwnd %d, want fast and %d (deflated by 1000, +1 MSS)", c.tcb.recovery, c.tcb.cwnd, cwnd)
+		}
+		if ep.Stats().Retransmits != 2 || s.Now() != start {
+			t.Fatalf("Retransmits %d at %v after start; want 2, no time passed", ep.Stats().Retransmits, s.Now()-start)
+		}
+	})
+}
+
+// The ACK that reaches recover ends fast recovery and deflates cwnd to
+// min(ssthresh, FlightSize + MSS) (RFC 6582 §3.2 step 3, FlightSize at
+// least one MSS); it retransmits nothing.
+func TestRecoveryExitsAtRecover(t *testing.T) {
+	inSim(t, func(s *sim.Scheduler) {
+		_, c, fn := recoveryHarness(s, 8000)
+		dupAcks(c, 3) // ssthresh 4000, cwnd 7000, recover 9001
+		fn.take()
+		write(c, make([]byte, 2000))
+		dupAcks(c, 3) // cwnd 10000: the last two duplicates clock out 9001 and 10001
+		if got := dataSeqs(fn.take()); len(got) != 2 || got[0] != 9001 || got[1] != 10001 {
+			t.Fatalf("inflated window sent %v, want new data at 9001 and 10001", got)
+		}
+		if c.tcb.recover != 9001 {
+			t.Fatalf("recover = %d, want 9001", c.tcb.recover)
+		}
+		ackTo(c, 9001)
+		if got := dataSeqs(fn.take()); len(got) != 0 {
+			t.Fatalf("the full ACK sent %v, want nothing", got)
+		}
+		// FlightSize is 2000 after the ACK: min(4000, 2000 + 1000).
+		if c.tcb.recovery != recoveryNone || c.tcb.cwnd != 3000 {
+			t.Fatalf("after the full ACK: recovery %d cwnd %d, want none and 3000", c.tcb.recovery, c.tcb.cwnd)
+		}
+		// Out of recovery, three more duplicates may start the next one.
+		dupAcks(c, 3)
+		if got := dataSeqs(fn.take()); len(got) != 1 || got[0] != 9001 || c.tcb.recovery != recoveryFast {
+			t.Fatalf("a new loss after recovery sent %v, recovery %d; want 9001 and fast", got, c.tcb.recovery)
+		}
+	})
+}
+
+// However far duplicates inflate cwnd, the peer's window still bounds
+// what is in flight.
+func TestInflatedCwndNeverPassesSendWindow(t *testing.T) {
+	inSim(t, func(s *sim.Scheduler) {
+		_, c, fn := harness(s, StateEstab, Config{Nagle: Disable})
+		write(c, make([]byte, 4000)) // sndWnd is 4096
+		write(c, make([]byte, 4000))
+		fn.take()
+		dupAcks(c, 40)
+		if c.tcb.cwnd < 40000 {
+			t.Fatalf("cwnd = %d after 40 duplicates, want it inflated past 40000", c.tcb.cwnd)
+		}
+		for _, sg := range fn.take() {
+			if end := sg.seq + seq(len(sg.data)); seqGT(end, c.tcb.sndUna+seq(c.tcb.sndWnd)) {
+				t.Fatalf("sent %v, past the peer's window edge %d", sg, c.tcb.sndUna+seq(c.tcb.sndWnd))
+			}
+		}
+		if c.tcb.flightSize() > c.tcb.sndWnd {
+			t.Fatalf("flight %d exceeds snd_wnd %d", c.tcb.flightSize(), c.tcb.sndWnd)
+		}
+	})
+}
+
+// Limited transmit (RFC 3042): the first and second duplicate ACK each
+// send one new segment past cwnd, and leave cwnd alone; the third
+// retransmits. Two new segments at most.
+func TestLimitedTransmitSendsAtMostTwo(t *testing.T) {
+	inSim(t, func(s *sim.Scheduler) {
+		_, c, fn := harness(s, StateEstab, Config{})
+		c.tcb.sndWnd, c.tcb.maxWnd = 16000, 16000
+		c.tcb.cwnd = 3000
+		write(c, make([]byte, 8000))
+		if got := dataSeqs(fn.take()); len(got) != 3 {
+			t.Fatalf("cwnd of 3000 sent %d segments", len(got))
+		}
+		for i, want := range []seq{4001, 5001} {
+			dupAcks(c, 1)
+			if got := dataSeqs(fn.take()); len(got) != 1 || got[0] != want {
+				t.Fatalf("duplicate %d sent %v, want one new segment at %d", i+1, got, want)
+			}
+			if c.tcb.cwnd != 3000 {
+				t.Fatalf("duplicate %d moved cwnd to %d", i+1, c.tcb.cwnd)
+			}
+		}
+		dupAcks(c, 1)
+		if got := dataSeqs(fn.take()); len(got) != 1 || got[0] != 1001 {
+			t.Fatalf("third duplicate sent %v, want only the retransmission of 1001", got)
+		}
+	})
+}
+
+// A timeout during fast recovery falls back to one MSS and slow start;
+// later duplicates neither inflate cwnd nor start a second fast
+// retransmit, and the partial ACKs that follow fill the holes.
+func TestRTODuringRecoveryResetsCwnd(t *testing.T) {
+	inSim(t, func(s *sim.Scheduler) {
+		ep, c, fn := recoveryHarness(s, 6000)
+		dupAcks(c, 3)
+		fn.take()
+		c.enqueue(action{kind: actTimerExpired, which: timerRexmit})
+		c.run()
+		if got := dataSeqs(fn.take()); len(got) != 1 || got[0] != 1001 {
+			t.Fatalf("the timeout sent %v, want 1001", got)
+		}
+		if c.tcb.cwnd != 1000 || c.tcb.recovery != recoveryTimeout || c.tcb.recover != 7001 || c.tcb.ssthresh != 3000 {
+			t.Fatalf("after the RTO: cwnd %d recovery %d recover %d ssthresh %d; want 1000, timeout, 7001, 3000",
+				c.tcb.cwnd, c.tcb.recovery, c.tcb.recover, c.tcb.ssthresh)
+		}
+		dupAcks(c, 6)
+		if c.tcb.cwnd != 1000 || ep.Stats().Retransmits != 2 {
+			t.Fatalf("duplicates after the RTO: cwnd %d Retransmits %d; want 1000 and 2", c.tcb.cwnd, ep.Stats().Retransmits)
+		}
+		ackTo(c, 3001)
+		if got := dataSeqs(fn.take()); len(got) != 1 || got[0] != 3001 {
+			t.Fatalf("partial ACK after the RTO sent %v, want the hole at 3001", got)
+		}
+		ackTo(c, 7001)
+		if c.tcb.recovery != recoveryNone {
+			t.Fatalf("recovery %d after the ACK of recover", c.tcb.recovery)
+		}
+	})
+}
+
+// A storm of duplicate ACKs — reordering, or a peer provoked into
+// challenge ACKs — retransmits once per flight, however long it lasts.
+func TestDupAckStormRetransmitsOnce(t *testing.T) {
+	inSim(t, func(s *sim.Scheduler) {
+		ep, c, _ := recoveryHarness(s, 5000)
+		dupAcks(c, 60)
+		if got := ep.Stats().Retransmits; got != 1 {
+			t.Fatalf("Retransmits = %d after 60 duplicates, want 1", got)
 		}
 	})
 }

@@ -29,7 +29,9 @@ func write(c *Conn, data []byte) {
 // before the ACK did. The ACK retires the segment, the Maybe_Send wants a
 // buffer, and the free list is LIFO — so unless the queued Send_Segment
 // keeps the segment off the list, the new data is written into it and
-// goes out twice, and the retransmission never does.
+// goes out twice, and the retransmission never does. Either event starts
+// recovery up to A2's end, so the ACK covering A is partial (RFC 6582)
+// and retransmits A2 as well.
 func TestQueuedRetransmissionKeepsItsBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -68,12 +70,14 @@ func TestQueuedRetransmissionKeepsItsBuffer(t *testing.T) {
 				c.tcb.cwnd = 1 << 20
 				c.run()
 
-				var rexmit, fresh []*segment
+				var rexmit, partial, fresh []*segment
 				for _, sg := range fn.take() {
 					switch {
 					case len(sg.data) == 0:
 					case sg.seq == 1001:
 						rexmit = append(rexmit, sg)
+					case sg.seq == 2001:
+						partial = append(partial, sg)
 					case sg.seq == 2501:
 						fresh = append(fresh, sg)
 					default:
@@ -82,6 +86,9 @@ func TestQueuedRetransmissionKeepsItsBuffer(t *testing.T) {
 				}
 				if len(rexmit) != 1 || !bytes.Equal(rexmit[0].data, fill('A', 1000)) {
 					t.Fatalf("retransmission of A: got %d segments %v, want one carrying A's bytes", len(rexmit), rexmit)
+				}
+				if len(partial) != 1 || !bytes.Equal(partial[0].data, fill('a', 500)) {
+					t.Fatalf("partial-ACK retransmission of A2: got %d segments %v, want one carrying A2's bytes", len(partial), partial)
 				}
 				if len(fresh) != 1 || !bytes.Equal(fresh[0].data, fill('B', 1000)) {
 					t.Fatalf("B: got %d segments %v, want exactly one carrying B's bytes", len(fresh), fresh)
@@ -195,10 +202,15 @@ func TestSendPathAllocatesNoPacketMemory(t *testing.T) {
 
 		// Fast retransmit: three duplicate ACKs → dupAck → emit in
 		// place. The rest of the round rebuilds the precondition: an ACK
-		// of everything, then two new segments, an ACK of the first —
-		// snd_una must pass the recovery point before dupAck fires again
-		// — and a third to keep two in flight.
+		// of everything — it reaches the recovery point, so recovery ends
+		// and the next third duplicate may start another — then two new
+		// segments, an ACK of the first, and a third to keep two in
+		// flight. The timeouts above left a recovery open too: the same
+		// ACK of everything closes it first.
 		c.tcb.backoff = 0
+		ackTo(c.tcb.sndNxt)
+		write(c, data)
+		write(c, data)
 		frames = fn.frames
 		fast := testing.AllocsPerRun(200, func() {
 			for i := 0; i < 3; i++ {

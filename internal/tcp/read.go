@@ -30,7 +30,8 @@ type recvState struct {
 // bufferData stores sg's in-order text for Read and closes the window
 // accordingly. Called by the executor when no Data upcall is installed.
 // The buffer holds the text by reference until Read copies it out — the
-// receive path's one copy — so it keeps sg's frame.
+// receive path's one copy — so it keeps sg's frame, and leaves it to the
+// collector afterwards: nothing here releases it.
 func (c *Conn) bufferData(sg *segment) {
 	sg.keep()
 	data := sg.data

@@ -385,7 +385,9 @@ func (c *Conn) deliver(sg *segment) {
 // at the cap the newest — highest-sequence — segments are evicted, which
 // preserves head progress: the hole closest to rcv_nxt keeps its filler,
 // so a gap bomb costs the attacker the far end of its own spray. The queue
-// outlives the upcall that brought sg, so what it files is owned.
+// outlives the upcall that brought sg, so what it files is owned — once it
+// survives the cap: sg itself may be the newest, and is not held just to
+// be evicted. Each held victim's hold ends with its eviction.
 func (c *Conn) insertOutOfOrder(sg *segment) {
 	oo := c.tcb.outOfOrder
 	at := len(oo)
@@ -398,7 +400,6 @@ func (c *Conn) insertOutOfOrder(sg *segment) {
 			break
 		}
 	}
-	sg = c.t.own(sg)
 	oo = append(oo, nil)
 	copy(oo[at+1:], oo[at:])
 	oo[at] = sg
@@ -411,6 +412,10 @@ func (c *Conn) insertOutOfOrder(sg *segment) {
 		c.tcb.outOfOrder = c.tcb.outOfOrder[:last]
 		c.oooRelease(victim)
 		c.note(evOOOEvicted, 0, 0)
+		c.t.release(victim)
+	}
+	if at < len(c.tcb.outOfOrder) {
+		c.tcb.outOfOrder[at] = c.t.own(sg)
 	}
 }
 
@@ -418,7 +423,10 @@ func (c *Conn) insertOutOfOrder(sg *segment) {
 // including any FIN one of them carries. Draining compacts in place and
 // nils the vacated tail slot — reslicing the head off ([1:]) would keep
 // every delivered segment reachable through the backing array until the
-// whole queue emptied.
+// whole queue emptied. A delivered segment's hold ends after its Data
+// upcall, which may already have run when deliver returns (DirectDispatch),
+// so the FIN is read off q first; a segment with nothing left to deliver
+// ends its hold here.
 func (c *Conn) drainOutOfOrder() {
 	tcb := c.tcb
 	for len(tcb.outOfOrder) > 0 {
@@ -431,14 +439,17 @@ func (c *Conn) drainOutOfOrder() {
 		tcb.outOfOrder[n] = nil
 		tcb.outOfOrder = tcb.outOfOrder[:n]
 		c.oooRelease(q)
-		if end := q.seq + seq(len(q.data)); seqGT(end, tcb.rcvNxt) {
+		end, fin := q.seq+seq(len(q.data)), q.has(flagFIN)
+		if seqGT(end, tcb.rcvNxt) {
 			// Trim what an earlier segment already delivered.
 			q.data = q.data[seqSub(tcb.rcvNxt, q.seq):]
 			q.seq = tcb.rcvNxt
 			c.deliver(q)
+		} else {
+			c.t.release(q)
 		}
-		if q.has(flagFIN) {
-			c.checkFin(q)
+		if fin {
+			c.checkFin(&segment{seq: end, flags: flagFIN})
 		}
 	}
 }

@@ -40,6 +40,10 @@ type segment struct {
 	seq     seq
 	ack     seq
 	flags   uint8
+	// timed and retired are Resend bookkeeping, declared here with the
+	// other narrow fields so the struct packs tight.
+	timed   bool // this transmission is the RTT measurement sample
+	retired bool // see sends
 	wnd     uint16
 	up      uint16 // urgent pointer (carried, minimally interpreted)
 	mss     uint16 // MSS option value; 0 when absent
@@ -49,7 +53,6 @@ type segment struct {
 	sentAt      sim.Time // last (re)transmission time
 	firstSentAt sim.Time
 	rexmits     int
-	timed       bool // this transmission is the RTT measurement sample
 
 	// A data segment the Send module built owns the packet its payload
 	// lives in: data aliases pkt's payload region for the segment's whole
@@ -61,8 +64,7 @@ type segment struct {
 	// left rexmitQ — acknowledged, or its connection torn down — (retired)
 	// and no Send_Segment action naming it is still on to_do (sends == 0).
 	// See TCP.recycle.
-	sends   int
-	retired bool
+	sends int
 
 	// A received segment borrows: data aliases the frame the device lent
 	// to the upcall chain, and lent is that frame's packet. The bytes are
@@ -70,6 +72,10 @@ type segment struct {
 	// longer calls keep (or TCP.own, for the segment as a whole) first.
 	// nil once kept, and for segments that never borrowed.
 	lent *basis.Packet
+	// hold is set on a segment TCP.own made holdable: the header lives in
+	// it, next to the frame the text lives in, and both go back with
+	// TCP.release when the hold ends.
+	hold *heldSegment
 }
 
 // copyBreak is the text length up to which holding a received segment
@@ -80,36 +86,88 @@ type segment struct {
 // kilobyte and a half of frame per byte accounted.
 const copyBreak = 256
 
-// keep makes sg.data safe to hold past the upcall that lent it: the bytes
-// stay sg's — and any sub-slice's holder's — for good. Text longer than
-// copyBreak keeps the frame it arrived in, which leaves the device's pool
-// for the collector: nothing is counted and nothing is ever released.
-// Shorter text moves to a buffer of its own size and the frame goes back.
-func (sg *segment) keep() {
+// keep makes sg.data safe to hold past the upcall that lent it. Text
+// longer than copyBreak keeps the frame it arrived in, which stays out of
+// the device's pool until the returned Frame is released; shorter text
+// moves to a buffer of its own size, the frame goes back at once, and the
+// Frame is zero.
+func (sg *segment) keep() basis.Frame {
+	var f basis.Frame
 	if sg.lent == nil {
-		return
+		return f
 	}
 	if len(sg.data) > copyBreak {
-		sg.lent.Keep()
+		f = sg.lent.Keep()
 	} else {
 		sg.data = append([]byte(nil), sg.data...) //foxvet:boundary-copy copybreak: a short held segment must not pin a whole frame the memory limits do not see
 	}
 	sg.lent = nil
+	return f
+}
+
+// heldSegment is a received segment held past the upcall that brought
+// it, and the frame its text lives in (zero below the copy break).
+type heldSegment struct {
+	seg   segment
+	frame basis.Frame
 }
 
 // own returns sg in a form that may be held past the upcall that
-// delivered it: its frame kept, and — when sg is the endpoint's reused
-// receive segment, which the next arrival overwrites — its header cloned.
-// The holders are insertOutOfOrder (and through it the SYN-text holds of
-// rcvListen and rcvSynSent) and TCP.handler for a Process_Data it cannot
-// perform before it returns; bufferData keeps the frame alone.
+// delivered it: its header copied into a heldSegment from the endpoint's
+// free list — the endpoint's one receive segment is overwritten by the
+// next arrival — with the frame keep took over. A segment already held is
+// returned as it is. The holders are insertOutOfOrder (and through it the
+// SYN-text holds of rcvListen and rcvSynSent) and TCP.handler for a
+// Process_Data it cannot perform before it returns; each hands the
+// segment to release when its hold ends. bufferData keeps the frame alone
+// and never releases it: a Read buffer's frames are the collector's.
 func (t *TCP) own(sg *segment) *segment {
-	sg.keep()
-	if sg != &t.rx {
+	if sg.hold != nil {
 		return sg
 	}
-	held := *sg
-	return &held
+	h := t.heldHeader()
+	h.frame = sg.keep()
+	h.seg = *sg
+	h.seg.hold = h
+	return &h.seg
+}
+
+// heldPoolCap bounds an endpoint's free list of held segments: a 64 KB
+// window is 45 segments, all of which can be held beyond one hole.
+const heldPoolCap = 64
+
+// heldHeader returns a heldSegment from the free list, or a new one when
+// the list is empty.
+func (t *TCP) heldHeader() *heldSegment {
+	k := len(t.heldFree)
+	if k == 0 {
+		return new(heldSegment)
+	}
+	k--
+	h := t.heldFree[k]
+	t.heldFree[k] = nil
+	t.heldFree = t.heldFree[:k]
+	return h
+}
+
+// release ends the hold on a segment own returned: its frame goes home to
+// the device's pool and its header back to the free list. Nothing may
+// touch sg or its text after; a segment that is not held is left alone.
+// The holds end where the text stops being needed: after the Data upcall
+// that delivered it returns, on eviction from the reassembly queue, when
+// a drained segment turns out to duplicate delivered text, and at
+// deleteTCB.
+func (t *TCP) release(sg *segment) {
+	h := sg.hold
+	if h == nil {
+		return
+	}
+	h.frame.Release()
+	*h = heldSegment{}
+	if k := len(t.heldFree); k < cap(t.heldFree) {
+		t.heldFree = t.heldFree[:k+1]
+		t.heldFree[k] = h
+	}
 }
 
 // seqLen is the sequence-space length: data plus one for SYN and FIN.

@@ -66,6 +66,15 @@ func (t timerID) String() string {
 	return timerNames[t]
 }
 
+// recoveryPhase is how a connection is recovering from loss.
+type recoveryPhase uint8
+
+const (
+	recoveryNone    recoveryPhase = iota
+	recoveryFast                  // fast recovery: cwnd inflated by duplicate ACKs
+	recoveryTimeout               // after an RTO: slow start, partial ACKs fill the holes
+)
+
 // sendItem is one element of the queue of user data awaiting
 // segmentation (the paper's `queued: Send_Packet.T D.T ref`).
 type sendItem struct {
@@ -120,17 +129,21 @@ type TCB struct {
 	rto     sim.Duration
 	backoff int
 
-	// Congestion control (Van Jacobson; the Tahoe variant contemporary
-	// with the paper), active when Config.CongestionControl is set.
-	// recover is the NewReno recovery point (RFC 6582): sndNxt as of the
-	// last fast retransmit. Another fast retransmit is allowed only once
-	// sndUna passes it, so a storm of duplicate ACKs — reordering, or an
-	// attacker provoking challenge ACKs — triggers at most one
-	// retransmission per flight.
+	// Congestion control, active when Config.CongestionControl is set:
+	// Van Jacobson's slow start and congestion avoidance (RFC 5681) with
+	// fast recovery, NewReno's partial ACKs (RFC 6582) and limited
+	// transmit (RFC 3042) — recovery that needs no option and no timer
+	// for a second hole in a window. recovery is the loss-recovery phase
+	// and recover its end: sndNxt when the loss was detected. While it
+	// lasts an ACK below recover is partial and retransmits the next hole
+	// at once, and no duplicate ACK starts another fast retransmit, so a
+	// storm of them — reordering, or an attacker provoking challenge
+	// ACKs — triggers at most one retransmission per flight.
 	cwnd     uint32
 	ssthresh uint32
 	dupAcks  int
 	recover  seq
+	recovery recoveryPhase
 
 	// Timers, managed only by the Action module: one per slot, bound to
 	// its expiration when the connection is made and re-armed in place.
@@ -255,13 +268,20 @@ func (t *TCB) shiftBackoff() uint {
 }
 
 // sendWindow is the usable window: the peer's advertised window, further
-// limited by the congestion window when congestion control is on.
+// limited by the congestion window when congestion control is on. Limited
+// transmit (RFC 3042) lets the first and second duplicate ACK outside
+// recovery each clock out one new segment past cwnd: they say segments
+// have left the network, though not yet that one was lost.
 func (t *TCB) sendWindow(cc bool) uint32 {
 	w := t.sndWnd
-	if cc && t.cwnd < w {
-		w = t.cwnd
+	if !cc {
+		return w
 	}
-	return w
+	cw := t.cwnd
+	if n := t.dupAcks; n > 0 && n < 3 && t.recovery == recoveryNone {
+		cw += uint32(n) * t.mss32()
+	}
+	return min(w, cw)
 }
 
 // queuePush appends user data for transmission.

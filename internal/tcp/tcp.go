@@ -61,9 +61,11 @@ type Config struct {
 	// comparison for the paper's central control-structure choice.
 	// Default false (paper behavior).
 	DirectDispatch bool
-	// CongestionControl enables Tahoe-style slow start, congestion
-	// avoidance, and fast retransmit (contemporary with the paper's
-	// Berkeley-derived comparator). Default true.
+	// CongestionControl enables slow start, congestion avoidance and
+	// fast retransmit, with NewReno fast recovery (RFC 5681, RFC 6582)
+	// and limited transmit (RFC 3042) — where the paper's
+	// Berkeley-derived comparator stays Tahoe. Default true; false means
+	// no congestion control at all.
 	CongestionControl *bool
 
 	// InitialRTO, MinRTO, MaxRTO bound the retransmission timeout.
@@ -84,7 +86,9 @@ type Config struct {
 
 	// ReassemblyLimit bounds the bytes (payload plus a fixed per-segment
 	// overhead) a connection's out-of-order reassembly queue may hold;
-	// newest segments are evicted at the cap. Default 64 KiB.
+	// newest segments are evicted at the cap. Default 64 KiB, or what a
+	// full InitialWindow of full-sized segments costs when that is more,
+	// so that no in-window segment is ever evicted.
 	ReassemblyLimit int
 	// MaxSynBacklog bounds half-open (SYN-received) connections per
 	// listener; the oldest half-open is evicted when a flood fills the
@@ -208,9 +212,6 @@ func (c *Config) fill() {
 	if c.KeepaliveCount == 0 {
 		c.KeepaliveCount = 3
 	}
-	if c.ReassemblyLimit == 0 {
-		c.ReassemblyLimit = 64 << 10
-	}
 	if c.MaxSynBacklog == 0 {
 		c.MaxSynBacklog = 64
 	}
@@ -228,6 +229,16 @@ func (c *Config) delayedAcks() bool       { return boolDefault(c.DelayedAcks, tr
 func (c *Config) nagle() bool             { return boolDefault(c.Nagle, true) }
 func (c *Config) fastPath() bool          { return boolDefault(c.FastPath, true) }
 func (c *Config) congestionControl() bool { return boolDefault(c.CongestionControl, true) }
+
+// reassemblyDefault is the default ReassemblyLimit for a receive window
+// of wnd bytes arriving in segments of mss: 64 KiB, or what the queue
+// charges for a whole window of them beyond one hole when that is more.
+func reassemblyDefault(wnd, mss int) int {
+	if mss <= 0 {
+		mss = defaultMSS
+	}
+	return max(64<<10, wnd+(wnd+mss-1)/mss*oooOverhead)
+}
 
 // Disable is a convenience for the Config's optional booleans.
 var Disable = func() *bool { b := false; return &b }()
@@ -349,6 +360,9 @@ type TCP struct {
 	// says an arrival is being processed in it (see handler).
 	rx     segment
 	rxBusy bool
+	// heldFree is the free list of held segments (own, release);
+	// len ≤ cap == heldPoolCap, never reallocated.
+	heldFree []*heldSegment
 
 	// replay marks an endpoint reconstructed by ReplayJournal: timers are
 	// flagged set but never armed (expirations come from the journal).
@@ -358,6 +372,9 @@ type TCP struct {
 // New instantiates the TCP "functor" over net.
 func New(s *sim.Scheduler, net protocol.Network, cfg Config) *TCP {
 	cfg.fill()
+	if cfg.ReassemblyLimit == 0 {
+		cfg.ReassemblyLimit = reassemblyDefault(cfg.InitialWindow, net.MTU()-headerLen)
+	}
 	t := &TCP{
 		s: s, net: net, cfg: cfg,
 		conns:     make(map[connKey]*Conn),
@@ -367,6 +384,7 @@ func New(s *sim.Scheduler, net protocol.Network, cfg Config) *TCP {
 	t.mem.limit = cfg.MemoryLimit
 	t.mem.pressureAt = cfg.MemoryLimit - cfg.MemoryLimit/4
 	t.pool.init(net)
+	t.heldFree = make([]*heldSegment, 0, heldPoolCap)
 	t.observeInit()
 	net.Attach(t.handler)
 	return t

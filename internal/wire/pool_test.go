@@ -10,8 +10,11 @@ import (
 )
 
 // outstanding is the ledger's left side: buffers the pool handed out that
-// neither came back nor were kept by a receiver.
-func (fp *framePool) outstanding() int { return int(fp.gets - fp.puts - fp.kept) }
+// neither came back nor are held by a receiver that kept them.
+func (fp *framePool) outstanding() int { return int(fp.gets - fp.puts - fp.held()) }
+
+// held counts the buffers receivers kept and have not released.
+func (fp *framePool) held() uint64 { return fp.kept - fp.released }
 
 // queued counts the buffers sitting in the segment's queues.
 func (seg *Segment) queued() int {
@@ -38,6 +41,8 @@ func frame(i int) []byte {
 // serializing and the one each recvLoop is holding for its propagation
 // delay or its upcall; at quiesce it is zero — no path drops a buffer on
 // the floor or returns one twice — and the free list never passes its cap.
+// Receivers keep every seventh frame and release every other one they
+// kept a frame later, so a hold that ends goes back through the ledger.
 func TestFramePoolLedger(t *testing.T) {
 	const frames = 400
 	cases := []struct {
@@ -99,14 +104,23 @@ func TestFramePoolLedger(t *testing.T) {
 				var heard, kept int
 				var held [][]byte // frames a receiver kept, and what they must still say
 				var want [][]byte
+				var releasing []basis.Frame // kept frames to release at the next upcall
 				for i := 0; i < tc.ports; i++ {
 					p := seg.NewPort("p"+string(rune('0'+i)), nil)
 					p.SetHandler(func(pkt *basis.Packet) {
 						heard++
 						audit("upcall")
+						for _, f := range releasing {
+							f.Release()
+						}
+						releasing = releasing[:0]
 						if heard%7 == 0 {
-							pkt.Keep()
+							f := pkt.Keep()
 							kept++
+							if kept%2 == 0 {
+								releasing = append(releasing, f)
+								return
+							}
 							held = append(held, pkt.Bytes())
 							want = append(want, append([]byte(nil), pkt.Bytes()...))
 						}
@@ -126,12 +140,16 @@ func TestFramePoolLedger(t *testing.T) {
 					}
 				}
 				s.Sleep(time.Second)
-				if out := pool.outstanding(); out != 0 || seg.queued() != 0 {
-					t.Fatalf("at quiesce: %d buffers outstanding, %d queued (gets %d puts %d kept %d)",
-						out, seg.queued(), pool.gets, pool.puts, pool.kept)
+				for _, f := range releasing {
+					f.Release()
 				}
-				if int(pool.kept) != kept {
-					t.Fatalf("pool counted %d kept frames, receivers kept %d", pool.kept, kept)
+				if out := pool.outstanding(); out != 0 || seg.queued() != 0 {
+					t.Fatalf("at quiesce: %d buffers outstanding, %d queued (gets %d puts %d kept %d released %d)",
+						out, seg.queued(), pool.gets, pool.puts, pool.kept, pool.released)
+				}
+				if int(pool.kept) != kept || int(pool.held()) != len(held) {
+					t.Fatalf("pool counted %d kept frames, %d held; receivers kept %d and hold %d",
+						pool.kept, pool.held(), kept, len(held))
 				}
 				if heard == 0 {
 					t.Fatal("no frame was ever delivered")
@@ -222,6 +240,31 @@ func TestRoundTripAllocatesNothing(t *testing.T) {
 		}
 		if got != 201*n {
 			t.Fatalf("received %d bytes over 201 trips of %d", got, n)
+		}
+	})
+}
+
+// TestLostFrameAllocatesNothing: a frame the medium loses goes straight
+// back to the pool, and with tracing off the loss costs no trace
+// formatting either — a lossy run allocates no more than a clean one.
+func TestLostFrameAllocatesNothing(t *testing.T) {
+	runNet(t, Config{Loss: 1, Seed: 1}, func(s *sim.Scheduler, seg *Segment) {
+		seg.trace = basis.NewTracer("wire", nil, false)
+		a, b := seg.NewPort("a", nil), seg.NewPort("b", nil)
+		b.SetHandler(func(pkt *basis.Packet) { t.Fatal("a frame crossed a medium that loses every frame") })
+		pkt := basis.NewPacket(0, 0, frame(1400))
+		n := pkt.Len()
+		trip := func() {
+			pkt.Reset(0, n)
+			a.Send(pkt)
+			s.Sleep(5 * time.Millisecond)
+		}
+		trip()
+		if allocs := testing.AllocsPerRun(200, trip); allocs != 0 {
+			t.Fatalf("a lost frame allocates %.1f objects, want 0", allocs)
+		}
+		if lost := seg.Stats().Lost; lost != 202 {
+			t.Fatalf("Lost = %d, want every one of 202 frames", lost)
 		}
 	})
 }

@@ -21,7 +21,8 @@
 // returns to the free list when the chain does. The rule on the way up is
 // the mirror of protocol.Network.Send's — an upcall borrows its packet —
 // and a layer that holds received bytes longer says so with
-// basis.Packet.Keep.
+// basis.Packet.Keep, and gives the frame back through the basis.Frame
+// Keep returns when the hold ends.
 package wire
 
 import (
@@ -158,12 +159,21 @@ const framePoolCap = 64
 // framePool is the segment's frame memory: a LIFO free list of
 // MaxFrame-sized buffers. get allocates when the list is empty; put takes
 // a buffer back, or leaves it to the collector when the list is full. A
-// buffer a receiver kept (basis.Packet.Keep) is never put: it simply stops
-// being the pool's. The three counters are the ledger the tests audit —
-// gets − puts − kept is the number of buffers in the segment's queues.
+// buffer a receiver kept (basis.Packet.Keep) leaves the pool's hands until
+// the holder releases it (Release, the pool being the frame's
+// basis.Home); one that is never released is the collector's. The
+// counters are the ledger the tests audit — gets − puts − (kept −
+// released) is the number of buffers in the segment's queues, and kept −
+// released the number receivers still hold.
 type framePool struct {
-	free             [][]byte // len ≤ cap == framePoolCap, never reallocated
-	gets, puts, kept uint64
+	free                       [][]byte // len ≤ cap == framePoolCap, never reallocated
+	gets, puts, kept, released uint64
+}
+
+// Release takes back a buffer a receiver kept, when its hold ends.
+func (fp *framePool) Release(b []byte) {
+	fp.released++
+	fp.put(b)
 }
 
 // get returns a buffer of n ≤ MaxFrame bytes whose contents are whatever
@@ -240,6 +250,15 @@ func NewSegment(s *sim.Scheduler, cfg Config, trace *basis.Tracer) *Segment {
 
 // Stats returns a snapshot of the segment's counters.
 func (seg *Segment) Stats() Stats { return seg.stats }
+
+// FrameLedger reports the frame pool's books: buffers handed out, buffers
+// taken back, and buffers still held by receivers that kept them (kept
+// and not yet released). gets − puts − held is the number of frames in
+// the segment's queues, zero once the medium is quiet.
+func (seg *Segment) FrameLedger() (gets, puts, held uint64) {
+	fp := &seg.pool
+	return fp.gets, fp.puts, fp.kept - fp.released
+}
 
 // SetTap installs an observer that sees every frame as it leaves the
 // medium's transmit queue, before fault injection — a passive network
@@ -345,7 +364,9 @@ func (seg *Segment) mediumLoop() {
 		}
 		if lost {
 			seg.stats.Lost++
-			seg.trace.Printf("frame from %s lost (%d bytes)", f.from.name, len(f.data))
+			if seg.trace.On() {
+				seg.trace.Printf("frame from %s lost (%d bytes)", f.from.name, len(f.data))
+			}
 			seg.pool.put(f.data)
 			continue
 		}
@@ -415,8 +436,9 @@ func (seg *Segment) mediumLoop() {
 
 // recvLoop waits for deliveries and runs the upcall chain over the port's
 // one Packet. The chain borrows the frame: when it returns the buffer goes
-// back to the segment's pool, unless a layer kept it. Waiting time is the
-// paper's "packet wait" profile row.
+// back to the segment's pool, unless a layer kept it — then the holder
+// sends it back when its hold ends. Waiting time is the paper's "packet
+// wait" profile row.
 func (p *Port) recvLoop() {
 	pool := &p.seg.pool
 	for {
@@ -438,7 +460,7 @@ func (p *Port) recvLoop() {
 		if p.seg.trace.On() {
 			p.seg.trace.Printf("%s rx %d bytes", p.name, len(d.data))
 		}
-		p.rx.Rewire(d.data)
+		p.rx.Rewire(d.data, pool)
 		p.handler(&p.rx)
 		if p.rx.Kept() {
 			pool.kept++
